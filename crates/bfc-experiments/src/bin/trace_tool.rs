@@ -148,8 +148,8 @@ commands:
                             filter; filtered events never enter the ring)
       --node <a,b>          record only events at these node ids
       --topo / --scheme / --seed / --drain-x   as replay (single scheme)
-      --shards <n>          record under the sharded engine (the merged
-                            trace is identical to a serial recording)
+      --shards <n>          record on n engine shards (the merged trace
+                            is identical to a 1-shard recording)
     inspect <flight>        print the label, per-kind counts and records
       --limit <n>           print at most the last n records [40]
       --stats               print only the per-kind counts and the ring-drop
@@ -426,7 +426,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 }
 
 /// Per-run engine-internal counters, read uniformly from the unified
-/// registry — serial runs print the same line with zero epochs. Written to
+/// registry, at any shard count (one shard runs one whole-run window). Written to
 /// stderr so stdout stays byte-identical across engines (scripts diff it).
 fn print_engine_counters(results: &[ExperimentResult]) {
     for r in results {

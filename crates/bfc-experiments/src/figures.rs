@@ -2,15 +2,14 @@
 //!
 //! Every figure exposes a `run(&Scale) -> String` function that regenerates
 //! the figure's rows/series and returns them as a formatted text table. The
-//! `src/bin/figNN_*` binaries print the result; the Criterion benches in
-//! `bfc-bench` call the same functions at [`Scale::quick`] so the whole
-//! evaluation can be exercised in minutes.
+//! `src/bin/figNN_*` binaries print the result; `tests/fig_smoke.rs` calls
+//! the same functions at [`Scale::quick`] so the whole evaluation can be
+//! exercised in minutes.
 //!
 //! `Scale::quick()` shrinks the topology and trace so each experiment takes
 //! well under a second; `Scale::full()` uses the paper's topologies (T1/T2,
 //! 100 Gbps, 12 MB buffers) and longer traces. Absolute numbers differ from
-//! the paper in either mode (see `EXPERIMENTS.md`), but relative orderings
-//! hold.
+//! the paper in either mode, but relative orderings hold.
 
 use bfc_core::BfcConfig;
 use bfc_net::topology::{cross_dc, fat_tree, CrossDcParams, FatTreeParams, Topology};

@@ -20,8 +20,8 @@
 //! at least 90% of the offending score (and, for the safety objective, remain
 //! violating). The result is a [`Reproducer`] — a small self-contained text
 //! file (key-value header plus `at …` scenario directives, round-tripping
-//! through [`ScenarioSpec`]'s parser) that replays the exact run, serially or
-//! sharded, bit-identically.
+//! through [`ScenarioSpec`]'s parser) that replays the exact run at any shard
+//! count, bit-identically.
 
 use std::fmt;
 
@@ -31,7 +31,7 @@ use bfc_sim::{SimDuration, SimRng};
 use bfc_testkit::{case_seed, Gen};
 use bfc_workloads::{synthesize, ArrivalShape, IncastSchedule, TraceParams, Workload};
 
-use crate::runner::{run_experiment, ExperimentConfig, ExperimentResult};
+use crate::runner::{ExperimentConfig, ExperimentResult};
 use crate::scenario::ScenarioSpec;
 use crate::scheme::Scheme;
 use crate::sharded::{run_experiment_auto, run_experiment_sharded};
@@ -722,15 +722,11 @@ impl Reproducer {
         Ok((topo, trace, config))
     }
 
-    /// Replays the reproducer serially (`num_shards <= 1`) or on the sharded
-    /// engine. Results are bit-identical across shard counts.
+    /// Replays the reproducer on `num_shards` shards (0 counts as 1).
+    /// Results are bit-identical across shard counts.
     pub fn replay(&self, num_shards: usize) -> Result<ExperimentResult, String> {
         let (topo, trace, config) = self.materialize()?;
-        Ok(if num_shards <= 1 {
-            run_experiment(&topo, &trace, &config)
-        } else {
-            run_experiment_sharded(&topo, &trace, &config, num_shards)
-        })
+        Ok(run_experiment_sharded(&topo, &trace, &config, num_shards))
     }
 
     /// Replays honoring `BFC_SHARDS`, like the other experiment paths.

@@ -5,8 +5,9 @@
 //! * [`scheme`] — the registry of evaluated schemes (BFC, BFC-VFID, Ideal-FQ,
 //!   DCQCN, DCQCN+Win, DCQCN+Win+SFQ, HPCC, SFQ+InfBuffer) mapping each to a
 //!   switch configuration, a queue policy and a host configuration.
-//! * [`runner`] — the end-to-end simulation driver: it instantiates the
-//!   topology, switches, hosts and trace, dispatches events, and collects
+//! * [`runner`] — the per-event fabric handler and [`run_experiment`]: it
+//!   instantiates the topology, switches, hosts and trace, runs them on the
+//!   1-shard conservative engine, and collects
 //!   FCT records, buffer occupancy samples, utilization, PFC pause time and
 //!   policy statistics into an [`runner::ExperimentResult`]. Each run is a
 //!   pure, `Send` unit of work.
@@ -14,10 +15,10 @@
 //!   (scheme, sweep-point, seed) runs across `std::thread` workers with
 //!   order-preserving result collection, so every figure is bit-identical
 //!   at any thread count (`BFC_THREADS` controls the worker pool).
-//! * [`sharded`] — within-run parallelism: one large fabric's switches and
-//!   hosts split across shards advancing in conservative lockstep epochs
-//!   ([`sharded::run_experiment_sharded`]), bit-identical to the serial
-//!   engine at any shard count (`BFC_SHARDS` / `--shards` select it).
+//! * [`sharded`] — the one engine: a fabric's switches and hosts split
+//!   across shards advancing in conservative lockstep epochs
+//!   ([`sharded::run_experiment_sharded`]), bit-identical at any shard
+//!   count (`BFC_SHARDS` / `--shards` select it; the default is one shard).
 //! * [`replay`] — the [`replay::ReplayTrace`] path: imported CSV traces
 //!   (see `bfc_workloads::io`) validated against a topology and replayed
 //!   through the same driver with bit-identical results; the `trace-tool`
@@ -33,18 +34,18 @@
 //!   minimal text reproducers (`trace-tool fuzz` is its CLI front end).
 //! * [`service`] — service mode: deterministic snapshot/restore of complete
 //!   runs ([`service::snapshot_experiment`] / [`service::resume_experiment`],
-//!   bit-identical resumes for both engines) and streaming ingest under an
+//!   bit-identical resumes at any shard count) and streaming ingest under an
 //!   inflight cap ([`service::serve_experiment`]); `trace-tool`'s
 //!   `snapshot` / `resume` / `serve` subcommands are its CLI front end.
 //! * [`figures`] — one module per paper table/figure. Each `run` function
 //!   regenerates the corresponding rows/series; the `src/bin/figNN_*`
-//!   binaries are thin wrappers that print them, and the Criterion benches in
-//!   `bfc-bench` call the same functions with scaled-down parameters.
+//!   binaries are thin wrappers that print them, and `tests/fig_smoke.rs`
+//!   calls the same functions with scaled-down parameters.
 //!
 //! Absolute numbers differ from the paper (different simulator, synthetic
 //! CDFs, scaled-down run lengths by default) but the comparisons the paper
 //! makes — who wins, by roughly what factor, and where behaviour crosses
-//! over — are preserved. See `EXPERIMENTS.md` at the repository root.
+//! over — are preserved.
 
 pub mod figures;
 pub mod fuzz;

@@ -14,18 +14,18 @@
 //!
 //! The contract is **bit-identity**: resuming a snapshot taken at any point
 //! produces an [`ExperimentResult`] identical field-for-field (floats
-//! compared by bits) to the uninterrupted run, for the serial engine and for
-//! the sharded engine at the snapshot's shard count.
+//! compared by bits) to the uninterrupted run at the snapshot's shard count
+//! (which is itself bit-identical to every other shard count).
 //!
-//! *Serial runs* can stop anywhere: [`bfc_sim::run_until`] processes events
-//! in a deterministic total order, so "events with `t <= at`" is a prefix of
-//! the uninterrupted run's pop sequence and the remaining events are exactly
-//! the pending set. *Sharded runs* stop at the first **epoch barrier** whose
-//! next window would begin after `at`: at a barrier every outbox is empty
-//! and each shard's state is a pure function of the epochs completed so far,
-//! so resuming re-derives the identical subsequent windows from queue state
-//! alone. The snapshot therefore cuts along the same seams the conservative
-//! driver already synchronizes on — no new synchronization invariants.
+//! Every shard count cuts at exactly `at`: the conservative driver runs with
+//! `at` as its deadline, so each shard processes every event with
+//! `t <= at`, and the driver delivers every boundary event before it
+//! returns. Nothing a shard could still receive lands at or before `at` —
+//! it would be emitted after `at`, one lookahead later — so the per-shard
+//! queues and sims are the complete run state, and resuming re-elects
+//! epoch windows from queue state alone. The per-shard pop order does not
+//! depend on where windows fall, so the resumed run replays the
+//! uninterrupted one's events exactly.
 //!
 //! A snapshot stores a fingerprint of everything it does *not* serialize
 //! (topology shape, trace, configuration, shard count); resuming against
@@ -44,21 +44,16 @@
 
 use std::sync::Arc;
 
-use bfc_net::event::{FifoSink, NetEvent};
+use bfc_net::event::{NetEvent, NetSink};
 use bfc_net::routing::RoutingTables;
 use bfc_net::topology::Topology;
-use bfc_sim::shard::{run_conservative, Boundary, ShardHandler};
 use bfc_sim::snapshot::{self, fnv1a64, SnapError, SnapReader, SnapWriter};
-use bfc_sim::{run_until, EventQueue, SimDuration, SimTime};
+use bfc_sim::{EventQueue, SimTime};
 use bfc_workloads::ingest::{IngestError, IngestSource};
 use bfc_workloads::TraceFlow;
 
-use crate::runner::{
-    assemble_result, build_flow_meta, build_flow_metas, build_sim, seed_samples, seed_send,
-    ExperimentConfig,
-    ExperimentResult, FabricSim, Frame,
-};
-use crate::sharded::{build_workers, epoch_lookahead, plan_for, ShardWorker};
+use crate::runner::{build_flow_meta, ExperimentConfig, ExperimentResult, FabricSim, Frame};
+use crate::sharded::{build_workers, drive, finish, plan_for, run_deadline, ShardWorker};
 
 /// Magic bytes identifying a BFC snapshot container.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
@@ -215,57 +210,15 @@ fn restore_sim(
     Ok(())
 }
 
-/// The sequential epoch loop of [`bfc_sim::shard::run_conservative`], with
-/// one extra exit: it stops at the first barrier whose next window would
-/// begin after `stop_after`. At a barrier all outboxes are empty, so the
-/// per-shard queues and sims are the complete simulation state — the safe
-/// cut for a snapshot.
-fn run_epochs_until<S: ShardHandler>(
-    shards: &mut [S],
-    lookahead: SimDuration,
-    stop_after: SimTime,
-    deadline: SimTime,
-) {
-    assert!(
-        !lookahead.is_zero(),
-        "conservative synchronization needs a positive lookahead"
-    );
-    let n = shards.len();
-    loop {
-        let Some(t0) = shards.iter().filter_map(|s| s.next_time()).min() else {
-            return;
-        };
-        if t0 > deadline || t0 > stop_after {
-            return;
-        }
-        let window_end = t0 + lookahead;
-        for shard in shards.iter_mut() {
-            shard.run_window(window_end, deadline);
-        }
-        let outboxes: Vec<Vec<Vec<Boundary<S::Event>>>> =
-            shards.iter_mut().map(|s| s.take_outboxes()).collect();
-        for (src, rows) in outboxes.into_iter().enumerate() {
-            debug_assert_eq!(rows.len(), n, "outbox row per destination shard");
-            for (dest, batch) in rows.into_iter().enumerate() {
-                debug_assert!(dest != src || batch.is_empty(), "no self-addressed batches");
-                if !batch.is_empty() {
-                    shards[dest].deliver(batch);
-                }
-            }
-        }
-    }
-}
-
 fn save_worker(wk: &ShardWorker<'_>, w: &mut SnapWriter) {
     w.put_u64(wk.last.as_picos());
     wk.queue.save_state(w, |w, e: &NetEvent| e.save_state(w));
     save_sim(&wk.sim, w);
 }
 
-/// Runs the experiment up to `at` (clamped to the run deadline) and returns
-/// the serialized snapshot. `num_shards <= 1` snapshots the serial engine;
-/// larger counts snapshot the sharded engine at the first epoch barrier
-/// past `at`.
+/// Runs the experiment up to `at` (clamped to the run deadline) on
+/// `num_shards` shards and returns the serialized snapshot: the state after
+/// every event with `t <= at`, at any shard count.
 ///
 /// Panics on invalid inputs (bad fault schedule, unpartitionable topology),
 /// exactly like the run entry points.
@@ -276,48 +229,17 @@ pub fn snapshot_experiment(
     at: SimTime,
     num_shards: usize,
 ) -> Vec<u8> {
-    let requested = num_shards.max(1);
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
-    let stop_after = at.min(deadline);
+    let plan = plan_for(topo, trace, config, num_shards);
+    let stop_after = at.min(run_deadline(config));
     let mut payload = SnapWriter::new();
-
-    if requested == 1 {
-        // Serial engine: replicate `run_experiment` up to `stop_after`.
-        if let Err(e) = config.dynamics.validate(topo) {
-            panic!("invalid fault schedule for this topology: {e}");
-        }
-        payload.put_u64(fingerprint(topo, trace, config, 1));
-        payload.put_u64(stop_after.as_picos());
-        payload.put_usize(1);
-        let frame = Frame::new(topo, config);
-        let flows = Arc::new(build_flow_metas(topo, trace, config, &frame));
-        let mut sim = build_sim(topo, flows, config, &frame, |_| true, true);
-        let fifo = config.rank_mode.is_fifo();
-        let mut queue = EventQueue::with_capacity(trace.len() * 4 + 16);
-        for (i, t) in trace.iter().enumerate() {
-            seed_send(&mut queue, fifo, t.start, NetEvent::FlowArrival { index: i });
-        }
-        seed_samples(&mut queue, fifo, config);
-        for (index, event) in config.dynamics.events().iter().enumerate() {
-            seed_send(&mut queue, fifo, event.at, NetEvent::NetworkDynamics { index });
-        }
-        let last = run_until(&mut sim, &mut queue, stop_after);
-        payload.put_u64(last.as_picos());
-        queue.save_state(&mut payload, |w, e: &NetEvent| e.save_state(w));
-        save_sim(&sim, &mut payload);
-    } else {
-        let plan = plan_for(topo, trace, config, requested);
-        payload.put_u64(fingerprint(topo, trace, config, plan.num_shards()));
-        payload.put_u64(stop_after.as_picos());
-        payload.put_usize(plan.num_shards());
-        let frame = Frame::new(topo, config);
-        let flows = Arc::new(build_flow_metas(topo, trace, config, &frame));
-        let lookahead = epoch_lookahead(&plan, config);
-        let mut workers = build_workers(topo, trace, config, &frame, &flows, &plan);
-        run_epochs_until(&mut workers, lookahead, stop_after, deadline);
-        for wk in &workers {
-            save_worker(wk, &mut payload);
-        }
+    payload.put_u64(fingerprint(topo, trace, config, plan.num_shards()));
+    payload.put_u64(stop_after.as_picos());
+    payload.put_usize(plan.num_shards());
+    let frame = Frame::new(topo, config);
+    let mut workers = build_workers(topo, trace, config, &frame, &plan);
+    drive(&mut workers, config, stop_after);
+    for wk in &workers {
+        save_worker(wk, &mut payload);
     }
     snapshot::finalize(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload.into_bytes())
 }
@@ -325,7 +247,7 @@ pub fn snapshot_experiment(
 /// Restores a snapshot taken by [`snapshot_experiment`] against the same
 /// inputs and runs the experiment to completion. The result is bit-identical
 /// to the uninterrupted run at the snapshot's shard count (which is itself
-/// bit-identical to the serial run).
+/// bit-identical at every shard count).
 pub fn resume_experiment(
     topo: &Topology,
     trace: &[TraceFlow],
@@ -345,55 +267,24 @@ pub fn resume_experiment(
             "snapshot was taken for different inputs (topology, trace, config or shard count)",
         ));
     }
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
-    let frame = Frame::new(topo, config);
-    let flows = Arc::new(build_flow_metas(topo, trace, config, &frame));
-
-    if num_shards == 1 {
-        let mut sim = build_sim(topo, Arc::clone(&flows), config, &frame, |_| true, true);
-        let last = SimTime::from_picos(r.get_u64()?);
-        let mut queue = EventQueue::restore_state(&mut r, |r| NetEvent::restore_state(r))?;
-        restore_sim(&mut sim, &frame, &mut r)?;
-        r.expect_end()?;
-        let resumed = run_until(&mut sim, &mut queue, deadline);
-        // `run_until` returns ZERO when every event was already processed
-        // before the snapshot; the run's end is whichever came later.
-        let end_time = last.max(resumed);
-        let mut result = assemble_result(topo, trace, config, &frame, vec![sim], end_time);
-        // The queue counter was restored from the snapshot, so the resumed
-        // run reports the same lifetime total as the uninterrupted one.
-        result.record_engine_counters(queue.overflow_pushes());
-        Ok(result)
-    } else {
-        let plan = plan_for(topo, trace, config, num_shards);
-        if plan.num_shards() != num_shards {
-            return Err(SnapError::Corrupt("shard plan does not match snapshot"));
-        }
-        let lookahead = epoch_lookahead(&plan, config);
-        let mut workers = build_workers(topo, trace, config, &frame, &flows, &plan);
-        for wk in workers.iter_mut() {
-            wk.last = SimTime::from_picos(r.get_u64()?);
-            wk.queue = EventQueue::restore_state(&mut r, |r| NetEvent::restore_state(r))?;
-            restore_sim(&mut wk.sim, &frame, &mut r)?;
-        }
-        r.expect_end()?;
-        let parallel = workers.len() > 1;
-        // `run_conservative` folds in each shard's restored `last`, so a
-        // snapshot taken after the final event still reports the right end.
-        let (end_time, epochs) = run_conservative(
-            &mut workers,
-            lookahead,
-            deadline,
-            parallel,
-            config.batch_policy(),
-        );
-        let overflow_pushes: u64 = workers.iter().map(|w| w.queue.overflow_pushes()).sum();
-        let sims: Vec<FabricSim<'_>> = workers.into_iter().map(|w| w.sim).collect();
-        let mut result = assemble_result(topo, trace, config, &frame, sims, end_time);
-        result.epochs = epochs;
-        result.record_engine_counters(overflow_pushes);
-        Ok(result)
+    let plan = plan_for(topo, trace, config, num_shards);
+    if plan.num_shards() != num_shards {
+        return Err(SnapError::Corrupt("shard plan does not match snapshot"));
     }
+    let frame = Frame::new(topo, config);
+    let mut workers = build_workers(topo, trace, config, &frame, &plan);
+    for wk in workers.iter_mut() {
+        wk.last = SimTime::from_picos(r.get_u64()?);
+        wk.queue = EventQueue::restore_state(&mut r, NetEvent::restore_state)?;
+        restore_sim(&mut wk.sim, &frame, &mut r)?;
+    }
+    r.expect_end()?;
+    // The driver folds in each shard's restored `last`, so a snapshot taken
+    // after the final event still reports the right end. The queue counters
+    // were restored too, so the resumed run reports the same lifetime
+    // overflow total as the uninterrupted one.
+    let run = drive(&mut workers, config, run_deadline(config));
+    Ok(finish(topo, trace, config, &frame, workers, run))
 }
 
 /// A shared slot holding the latest rendered metrics exposition, so a
@@ -446,7 +337,7 @@ pub struct ServeReport {
 }
 
 /// Drives a live simulation from a streaming [`IngestSource`] under an
-/// inflight cap (serial engine).
+/// inflight cap, on one shard stepped an event at a time.
 ///
 /// Flows are admitted in arrival order; a flow whose start time has already
 /// passed (the simulation outran the feeder) is admitted "now" — at the last
@@ -479,24 +370,19 @@ pub fn serve_experiment_with(
     metrics: Option<&MetricsHub>,
 ) -> Result<ServeReport, IngestError> {
     assert!(inflight_cap >= 1, "inflight cap must be at least 1");
-    if let Err(e) = config.dynamics.validate(topo) {
-        panic!("invalid fault schedule for this topology: {e}");
-    }
+    // The flows are not known yet: the plan checks the topology and fault
+    // schedule, and the one worker starts with only samples and faults
+    // seeded. Admission grows its flow table in place.
+    let plan = plan_for(topo, &[], config, 1);
     let frame = Frame::new(topo, config);
-    let mut sim = build_sim(topo, Arc::new(Vec::new()), config, &frame, |_| true, true);
-    let fifo = config.rank_mode.is_fifo();
-    let mut queue = EventQueue::with_capacity(1024);
-    seed_samples(&mut queue, fifo, config);
-    for (index, event) in config.dynamics.events().iter().enumerate() {
-        seed_send(&mut queue, fifo, event.at, NetEvent::NetworkDynamics { index });
-    }
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
+    let mut workers = build_workers(topo, &[], config, &frame, &plan);
+    let deadline = run_deadline(config);
     let mut admitted: Vec<TraceFlow> = Vec::new();
-    let mut last = SimTime::ZERO;
+    let worker = &mut workers[0];
     if let Some(hub) = metrics {
         // Publish the zeroed registry up front so a scrape racing the first
         // admission still reads well-formed exposition text.
-        hub.publish(&live_registry(&sim, 0));
+        hub.publish(&live_registry(&worker.sim, 0));
     }
 
     loop {
@@ -504,43 +390,30 @@ pub fn serve_experiment_with(
         // instead of pulling. If the sim cannot progress (nothing left to
         // run before the deadline), admission resumes — the stuck flows can
         // never complete, and starving the feeder would not change that.
-        while admitted.len() - sim.completed >= inflight_cap {
-            match queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    let (now, event) = queue.pop().expect("peeked event exists");
-                    last = now;
-                    if fifo {
-                        sim.dispatch(now, event, &mut FifoSink(&mut queue));
-                    } else {
-                        sim.dispatch(now, event, &mut queue);
-                    }
-                }
-                _ => break,
-            }
-        }
+        while admitted.len() - worker.sim.completed >= inflight_cap
+            && worker.step(SimTime::MAX, deadline)
+        {}
         let Some(mut flow) = source.next_flow()? else {
             break;
         };
         // The feeder's timestamps are admission *requests*; a start already
         // in the simulated past becomes "now".
-        flow.start = flow.start.max(last);
+        flow.start = flow.start.max(worker.last);
         let index = admitted.len();
         let meta = build_flow_meta(topo, index, &flow, config, &frame);
-        Arc::get_mut(&mut sim.flows)
+        Arc::get_mut(&mut worker.sim.flows)
             .expect("serve sim uniquely owns its flow table")
             .push(meta);
-        sim.flow_completed.push(None);
-        seed_send(&mut queue, fifo, flow.start, NetEvent::FlowArrival { index });
+        worker.sim.flow_completed.push(None);
+        worker.queue.send(flow.start, NetEvent::FlowArrival { index });
         admitted.push(flow);
         if let Some(hub) = metrics {
-            hub.publish(&live_registry(&sim, admitted.len()));
+            hub.publish(&live_registry(&worker.sim, admitted.len()));
         }
     }
 
-    let drained = run_until(&mut sim, &mut queue, deadline);
-    let end_time = last.max(drained);
-    let mut result = assemble_result(topo, &admitted, config, &frame, vec![sim], end_time);
-    result.record_engine_counters(queue.overflow_pushes());
+    let run = drive(&mut workers, config, deadline);
+    let result = finish(topo, &admitted, config, &frame, workers, run);
     if let Some(hub) = metrics {
         hub.publish(&result.registry);
     }
@@ -549,4 +422,52 @@ pub fn serve_experiment_with(
         result,
         admitted: count,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bfc_net::topology::{fat_tree, FatTreeParams};
+    use bfc_sim::SimDuration;
+    use bfc_workloads::{synthesize, TraceParams, Workload};
+
+    use crate::runner::run_experiment;
+    use crate::scheme::Scheme;
+
+    /// One shard has no cross-shard cable, so its epoch window spans the
+    /// whole run; the snapshot must still cut at `at`, not at the window's
+    /// end, or a 1-shard checkpoint would hold a finished run.
+    #[test]
+    fn one_shard_snapshot_cuts_at_the_requested_instant() {
+        let topo = fat_tree(FatTreeParams::tiny());
+        let horizon = SimDuration::from_micros(150);
+        let trace = synthesize(
+            &topo.hosts(),
+            &TraceParams::background_only(Workload::Google, 0.4, horizon, 11),
+        );
+        let config = ExperimentConfig::new(Scheme::bfc(), horizon);
+        let at = SimTime::ZERO + horizon / 2;
+
+        let bytes = snapshot_experiment(&topo, &trace, &config, at, 1);
+        let payload = snapshot::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &bytes).expect("valid");
+        let mut r = SnapReader::new(payload);
+        r.get_u64().expect("fingerprint");
+        assert_eq!(r.get_u64().expect("cut instant"), at.as_picos());
+        assert_eq!(r.get_usize().expect("shard count"), 1);
+        let last = SimTime::from_picos(r.get_u64().expect("last processed"));
+        let queue =
+            EventQueue::restore_state(&mut r, NetEvent::restore_state).expect("saved queue");
+        assert!(last <= at, "worker ran past the cut: {last:?} > {at:?}");
+        assert!(!queue.is_empty(), "a mid-run cut leaves pending events");
+
+        let full = run_experiment(&topo, &trace, &config);
+        let resumed = resume_experiment(&topo, &trace, &config, &bytes).expect("resumes");
+        assert_eq!(full.records, resumed.records);
+        assert_eq!(full.fct, resumed.fct);
+        assert_eq!(full.end_time, resumed.end_time);
+        assert_eq!(full.drops, resumed.drops);
+        assert_eq!(full.utilization.to_bits(), resumed.utilization.to_bits());
+        assert_eq!(full.peak_queue_samples, resumed.peak_queue_samples);
+        assert_eq!(full.registry.expose(), resumed.registry.expose());
+    }
 }

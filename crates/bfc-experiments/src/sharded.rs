@@ -1,8 +1,9 @@
-//! The sharded fabric engine: within-run parallelism with bit-identical
-//! results.
+//! The fabric engine: conservative lockstep over N shards, with results
+//! bit-identical at every shard count.
 //!
-//! [`run_experiment_sharded`] partitions one topology's switches and hosts
-//! into N shards ([`ShardPlan::partition`]), gives each shard its own
+//! Every run goes through here — [`crate::run_experiment`] is this engine at
+//! one shard. [`run_experiment_sharded`] partitions one topology's switches
+//! and hosts into N shards ([`ShardPlan::partition`]), gives each shard its own
 //! calendar event queue and its own slice of the fabric (switches, hosts,
 //! link-state and routing replicas), and advances all shards in conservative
 //! lockstep epochs ([`bfc_sim::shard::run_conservative`]) bounded by the
@@ -11,13 +12,13 @@
 //! mailboxes that are exchanged at each barrier in deterministic
 //! `(timestamp, canonical rank, source shard)` order.
 //!
-//! # Why results are bit-identical to [`run_experiment`]
+//! # Why results are bit-identical at any shard count
 //!
-//! Both engines order events by `(time, canonical rank, emission order)`
+//! Every shard orders events by `(time, canonical rank, emission order)`
 //! (see [`bfc_net::event::NetEvent::canon_rank`]). The rank discriminates
 //! every pair of simultaneous events except pairs emitted by one sequential
-//! stream — and those reach any queue in emission order in both engines. A
-//! shard therefore pops exactly the subsequence of the serial engine's pop
+//! stream — and those reach any queue in emission order at any shard count.
+//! A shard therefore pops exactly the subsequence of the 1-shard run's pop
 //! sequence that targets its nodes; since per-event handlers only touch the
 //! target node's state (plus per-shard replicas recomputed from identical
 //! inputs), every switch, host and flow evolves identically. Metrics merge
@@ -34,15 +35,15 @@ use std::fmt;
 use bfc_net::event::{NetEvent, NetSink};
 use bfc_net::topology::Topology;
 use bfc_net::types::NodeId;
-use bfc_sim::shard::{run_conservative, Boundary, ShardHandler};
+use bfc_sim::shard::{run_conservative, Boundary, EpochStats, ShardHandler};
 use bfc_sim::{EventQueue, SimDuration, SimTime};
 use bfc_workloads::TraceFlow;
 
 use std::sync::Arc;
 
 use crate::runner::{
-    assemble_result, build_flow_metas, build_sim, run_experiment, ExperimentConfig,
-    ExperimentResult, FabricSim, FlowMeta, Frame,
+    assemble_result, build_flow_metas, build_sim, seed_samples, ExperimentConfig,
+    ExperimentResult, FabricSim, Frame,
 };
 
 /// Why a topology could not be partitioned.
@@ -171,7 +172,7 @@ impl NetSink for ShardSink<'_> {
 
 /// One shard: its slice of the fabric, its event queue, and its outboxes.
 /// Crate-visible so the snapshot/service layer ([`crate::service`]) can
-/// save and overlay per-shard state at epoch barriers.
+/// save and overlay per-shard state at cut points and step a live run.
 pub(crate) struct ShardWorker<'a> {
     pub(crate) sim: FabricSim<'a>,
     pub(crate) queue: EventQueue<NetEvent>,
@@ -179,6 +180,30 @@ pub(crate) struct ShardWorker<'a> {
     pub(crate) plan: &'a ShardPlan,
     pub(crate) me: u32,
     pub(crate) last: SimTime,
+}
+
+impl ShardWorker<'_> {
+    /// Pops and dispatches the next local event if it lies before
+    /// `window_end` and at or before `deadline`; returns whether it did.
+    #[inline]
+    pub(crate) fn step(&mut self, window_end: SimTime, deadline: SimTime) -> bool {
+        match self.queue.peek_time() {
+            Some(t) if t < window_end && t <= deadline => {
+                let (now, event) = self.queue.pop().expect("peeked event exists");
+                debug_assert!(now >= self.last, "shard queue delivered out of order");
+                self.last = now;
+                let mut sink = ShardSink {
+                    local: &mut self.queue,
+                    outbox: &mut self.outbox,
+                    plan: self.plan,
+                    me: self.me,
+                };
+                self.sim.dispatch(now, event, &mut sink);
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 impl ShardHandler for ShardWorker<'_> {
@@ -189,21 +214,7 @@ impl ShardHandler for ShardWorker<'_> {
     }
 
     fn run_window(&mut self, window_end: SimTime, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= window_end || t > deadline {
-                break;
-            }
-            let (now, event) = self.queue.pop().expect("peeked event exists");
-            debug_assert!(now >= self.last, "shard queue delivered out of order");
-            self.last = now;
-            let mut sink = ShardSink {
-                local: &mut self.queue,
-                outbox: &mut self.outbox,
-                plan: self.plan,
-                me: self.me,
-            };
-            self.sim.dispatch(now, event, &mut sink);
-        }
+        while self.step(window_end, deadline) {}
     }
 
     fn take_outboxes(&mut self) -> Vec<Vec<Boundary<NetEvent>>> {
@@ -225,7 +236,8 @@ impl ShardHandler for ShardWorker<'_> {
 
 /// Validates inputs and produces the shard plan for a run: checks the fault
 /// schedule, asserts the packed event-rank layout fits, and partitions the
-/// topology. Panics on invalid inputs, exactly like the run entry points.
+/// topology. Every run entry point (batch, snapshot, resume, serve) starts
+/// here, so each input check lives only here; panics on invalid inputs.
 pub(crate) fn plan_for(
     topo: &Topology,
     trace: &[TraceFlow],
@@ -242,7 +254,7 @@ pub(crate) fn plan_for(
     assert!(
         NetEvent::rank_layout_fits(topo.num_nodes(), max_ports, trace.len()),
         "topology/trace exceed the packed event-rank layout; \
-         run serially or widen NetEvent::canon_rank"
+         widen NetEvent::canon_rank"
     );
     match ShardPlan::partition(topo, num_shards) {
         Ok(plan) => plan,
@@ -250,12 +262,50 @@ pub(crate) fn plan_for(
     }
 }
 
-/// The epoch window for a plan under `config`. With no cross-shard cable any
-/// window is safe; one window spanning the whole run degenerates to the
-/// serial loop.
-pub(crate) fn epoch_lookahead(plan: &ShardPlan, config: &ExperimentConfig) -> SimDuration {
-    plan.lookahead()
-        .unwrap_or(config.horizon + config.drain + SimDuration::from_micros(1))
+/// The instant every run stops at: the end of the trace plus the drain.
+pub(crate) fn run_deadline(config: &ExperimentConfig) -> SimTime {
+    SimTime::ZERO + config.horizon + config.drain
+}
+
+/// Advances `workers` in conservative lockstep epochs until no event at or
+/// before `until` remains, returning the last processed instant and the
+/// epoch counters. On return every boundary event has been delivered, so
+/// the workers' queues and sims are the complete state of the run cut at
+/// `until` — which is what lets a snapshot cut at any instant.
+///
+/// The epoch window is the plan's lookahead. With no cross-shard cable (one
+/// shard) any window is safe, so one window spans the whole run.
+pub(crate) fn drive(
+    workers: &mut [ShardWorker<'_>],
+    config: &ExperimentConfig,
+    until: SimTime,
+) -> (SimTime, EpochStats) {
+    let lookahead = workers[0]
+        .plan
+        .lookahead()
+        .unwrap_or(config.horizon + config.drain + SimDuration::from_micros(1));
+    run_conservative(workers, lookahead, until, true, config.batch_policy())
+}
+
+/// Merges finished workers into the run's [`ExperimentResult`], engine
+/// counters included.
+pub(crate) fn finish(
+    topo: &Topology,
+    trace: &[TraceFlow],
+    config: &ExperimentConfig,
+    frame: &Frame,
+    workers: Vec<ShardWorker<'_>>,
+    (end_time, epochs): (SimTime, EpochStats),
+) -> ExperimentResult {
+    // The queues outlive assembly on purpose: freed first, their space
+    // takes the result's allocations and fragments the heap, which kept
+    // ~20 MB resident between back-to-back t1 runs.
+    let (sims, queues): (Vec<FabricSim<'_>>, Vec<EventQueue<NetEvent>>) =
+        workers.into_iter().map(|w| (w.sim, w.queue)).unzip();
+    let mut result = assemble_result(topo, trace, config, frame, sims, end_time);
+    result.epochs = epochs;
+    result.record_engine_counters(queues.iter().map(EventQueue::overflow_pushes).sum());
+    result
 }
 
 /// Builds the per-shard workers for a run, each with its slice of the fabric
@@ -265,15 +315,17 @@ pub(crate) fn build_workers<'a>(
     trace: &[TraceFlow],
     config: &'a ExperimentConfig,
     frame: &Frame,
-    flows: &Arc<Vec<FlowMeta>>,
     plan: &'a ShardPlan,
 ) -> Vec<ShardWorker<'a>> {
+    // Immutable flow metadata is computed once and shared: shards only need
+    // private completion state.
+    let flows = Arc::new(build_flow_metas(topo, trace, config, frame));
     (0..plan.num_shards())
         .map(|s| {
             let me = s as u32;
             let sim = build_sim(
                 topo,
-                Arc::clone(flows),
+                Arc::clone(&flows),
                 config,
                 frame,
                 |node| plan.shard_of(node) == me,
@@ -291,10 +343,7 @@ pub(crate) fn build_workers<'a>(
                     queue.send(t.start, NetEvent::FlowArrival { index });
                 }
             }
-            // Full tick schedule up front (the handler no longer
-            // reschedules); the sharded engine always keys by canonical
-            // rank, so `fifo` is false here.
-            crate::runner::seed_samples(&mut queue, false, config);
+            seed_samples(&mut queue, config);
             for (index, event) in config.dynamics.events().iter().enumerate() {
                 // Every shard replays the whole fault schedule against its
                 // own link-state / routing replica.
@@ -313,8 +362,9 @@ pub(crate) fn build_workers<'a>(
 }
 
 /// Runs one experiment across `num_shards` shards (clamped to the number of
-/// switches), with one thread per shard. The result is **bit-identical** to
-/// [`run_experiment`] on the same inputs, at any shard count.
+/// switches), with one thread per shard beyond the first. The result is
+/// **bit-identical** to [`crate::run_experiment`] (this engine at one shard)
+/// on the same inputs, at any shard count.
 pub fn run_experiment_sharded(
     topo: &Topology,
     trace: &[TraceFlow],
@@ -323,27 +373,9 @@ pub fn run_experiment_sharded(
 ) -> ExperimentResult {
     let plan = plan_for(topo, trace, config, num_shards);
     let frame = Frame::new(topo, config);
-    // Immutable flow metadata is computed once and shared: shards only need
-    // private completion state.
-    let flows = Arc::new(build_flow_metas(topo, trace, config, &frame));
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
-    let lookahead = epoch_lookahead(&plan, config);
-
-    let mut workers = build_workers(topo, trace, config, &frame, &flows, &plan);
-    let parallel = workers.len() > 1;
-    let (end_time, epochs) = run_conservative(
-        &mut workers,
-        lookahead,
-        deadline,
-        parallel,
-        config.batch_policy(),
-    );
-    let overflow_pushes: u64 = workers.iter().map(|w| w.queue.overflow_pushes()).sum();
-    let sims: Vec<FabricSim<'_>> = workers.into_iter().map(|w| w.sim).collect();
-    let mut result = assemble_result(topo, trace, config, &frame, sims, end_time);
-    result.epochs = epochs;
-    result.record_engine_counters(overflow_pushes);
-    result
+    let mut workers = build_workers(topo, trace, config, &frame, &plan);
+    let run = drive(&mut workers, config, run_deadline(config));
+    finish(topo, trace, config, &frame, workers, run)
 }
 
 /// Shard count from the `BFC_SHARDS` environment variable (default 1; the
@@ -357,8 +389,8 @@ pub fn shards_from_env() -> usize {
 }
 
 /// Parses a `--shards` flag value and installs it as `BFC_SHARDS` for this
-/// process, so every run dispatched later (figures, replay, scenario) goes
-/// through the sharded engine. The flag and the variable are deliberately
+/// process, so every run dispatched later (figures, replay, scenario) runs
+/// at that shard count. The flag and the variable are deliberately
 /// the same mechanism — mirroring `BFC_THREADS` — so scripts can use either.
 /// Rejects zero and non-numeric values. Binaries call this during argument
 /// parsing, before any worker thread exists.
@@ -373,21 +405,16 @@ pub fn set_shards_env(value: &str) -> Result<(), String> {
     }
 }
 
-/// Runs through the sharded engine when `BFC_SHARDS` asks for more than one
-/// shard, and through the serial engine otherwise — bit-identical either
-/// way. This is the entry point [`crate::ParallelRunner`] uses, so every
-/// figure, replay and scenario path honours `BFC_SHARDS` / `--shards`.
+/// Runs at the shard count `BFC_SHARDS` asks for (default 1) —
+/// bit-identical at any count. This is the entry point
+/// [`crate::ParallelRunner`] uses, so every figure, replay and scenario path
+/// honours `BFC_SHARDS` / `--shards`.
 pub fn run_experiment_auto(
     topo: &Topology,
     trace: &[TraceFlow],
     config: &ExperimentConfig,
 ) -> ExperimentResult {
-    let shards = shards_from_env();
-    if shards > 1 {
-        run_experiment_sharded(topo, trace, config, shards)
-    } else {
-        run_experiment(topo, trace, config)
-    }
+    run_experiment_sharded(topo, trace, config, shards_from_env())
 }
 
 #[cfg(test)]
@@ -396,6 +423,7 @@ mod tests {
     use bfc_net::topology::{fat_tree, FatTreeParams};
     use bfc_workloads::{synthesize, TraceParams, Workload};
 
+    use crate::runner::run_experiment;
     use crate::scheme::Scheme;
 
     #[test]

@@ -48,7 +48,8 @@ pub struct SizeBucket {
 }
 
 impl SizeBucket {
-    /// Human-readable label (e.g. `"1-3KB"`).
+    /// Human-readable label (e.g. `"1-3KB"`, or `"3MB+"` for the
+    /// open-ended top bucket).
     pub fn label(&self) -> String {
         fn fmt(b: u64) -> String {
             if b >= 1_000_000 {
@@ -59,7 +60,11 @@ impl SizeBucket {
                 format!("{b}B")
             }
         }
-        format!("{}-{}", fmt(self.lo), fmt(self.hi))
+        if self.hi == u64::MAX {
+            format!("{}+", fmt(self.lo))
+        } else {
+            format!("{}-{}", fmt(self.lo), fmt(self.hi))
+        }
     }
 
     /// The default log-spaced buckets used by the figures: <1 KB up to 10 MB.
@@ -223,6 +228,7 @@ mod tests {
             );
         }
         assert!(buckets[0].label().contains('B'));
+        assert_eq!(buckets[buckets.len() - 1].label(), "3MB+");
         assert!(buckets[3].midpoint() > buckets[2].midpoint());
     }
 

@@ -57,9 +57,19 @@
 //!
 //! With a content-derived rank (see [`crate::EventQueue::push_ranked`]) that
 //! is unique among simultaneous events from different sources, the per-shard
-//! pop order equals the serial engine's pop order restricted to that shard —
-//! which is what makes sharded results bit-identical to serial ones, at any
-//! shard count and under any batching policy.
+//! pop order equals one global queue's pop order restricted to that shard —
+//! which is what makes results bit-identical at any shard count and under
+//! any batching policy.
+//!
+//! # Cuts
+//!
+//! The deadline is also a consistent cut. Each shard processes every event
+//! at or before it, and the driver delivers every boundary batch before
+//! returning; anything still to come is emitted after the deadline and lands
+//! a lookahead later. So the shards' queues and state at return are the
+//! complete run state, and calling the driver again with a later deadline
+//! continues the run exactly — at one shard too, where the single window
+//! spans the whole run but the deadline still clips it.
 
 use std::any::Any;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -260,9 +270,10 @@ impl EpochStats {
 /// `lookahead` must lower-bound the scheduling delay of every cross-shard
 /// event: an event emitted while processing time `t` must be scheduled at
 /// `t + lookahead` or later. `parallel` selects one thread per shard
-/// (barrier-synchronized) versus a single-threaded epoch loop; all
-/// combinations of `parallel` and `batch` produce identical results and
-/// identical stats.
+/// (barrier-synchronized) versus a single-threaded epoch loop; one shard
+/// always runs the single-threaded loop. All combinations of `parallel` and
+/// `batch` produce identical results and identical stats, and the return
+/// state is a resumable cut at `deadline` (see the module docs).
 pub fn run_conservative<S: ShardHandler>(
     shards: &mut [S],
     lookahead: SimDuration,
@@ -363,6 +374,8 @@ impl BatchSchedule {
     }
 }
 
+/// The single-threaded epoch loop: what every 1-shard run executes, and the
+/// reference the threaded executor is tested against.
 fn run_sequential<S: ShardHandler>(
     shards: &mut [S],
     lookahead: SimDuration,
@@ -806,6 +819,30 @@ mod tests {
         );
         assert_eq!(end, SimTime::from_nanos(100));
         assert_eq!(merged_log(&shards).len(), 3); // t = 0, 50, 100
+    }
+
+    /// Stopping at a deadline and continuing reproduces the uninterrupted
+    /// run, under both executors and at one shard, whose single window is
+    /// far wider than the cut.
+    #[test]
+    fn deadline_is_a_resumable_cut() {
+        let end = SimTime::from_nanos(1_000);
+        let at = SimTime::from_nanos(420);
+        for (n, lookahead) in [(3usize, HOP), (1, SimDuration::from_micros(1_000))] {
+            let mut whole = ring(n, 4);
+            run_conservative(&mut whole, lookahead, end, false, BatchPolicy::default());
+            for parallel in [false, true] {
+                let mut cut = ring(n, 4);
+                run_conservative(&mut cut, lookahead, at, parallel, BatchPolicy::default());
+                assert!(cut.iter().all(|s| s.last <= at), "n={n}: ran past the cut");
+                assert!(
+                    cut.iter().any(|s| s.next_time().is_some()),
+                    "n={n}: the cut left no pending events"
+                );
+                run_conservative(&mut cut, lookahead, end, parallel, BatchPolicy::default());
+                assert_eq!(merged_log(&cut), merged_log(&whole), "n={n} parallel={parallel}");
+            }
+        }
     }
 
     #[test]

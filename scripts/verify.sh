@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Standing pre-commit check for this repository (see also README "Tests"):
-#   1. tier-1: release build + the root test suites (end-to-end, properties,
-#      trace round-trip/replay, doctest)
+#   1. tier-1: release build + every crate's tests (unit tests, end-to-end,
+#      properties, trace round-trip/replay, doctest)
 #   2. the bfc-testkit harness's own unit tests
 #   3. a trace-tool smoke: synth -> stats -> replay on a tiny CSV trace,
 #      plus a `scenario` run (link down/up + flap fault injection)
@@ -17,9 +17,8 @@
 #      any benchmark whose median regresses more than 25% fails the check
 #      (benchmarks without a committed baseline entry are reported, not
 #      compared)
-#   8. configuration cross-checks: the fifo-rank feature build's quickstart
-#      and a batched 2-shard replay must be byte-identical to their default
-#      serial counterparts
+#   8. configuration cross-checks: a 2-shard quickstart and a batched
+#      2-shard replay must be byte-identical to their 1-shard counterparts
 #   9. observability: the flight recorder's record -> inspect -> filter ->
 #      top pipeline works on a recorded run, a safety-violating scenario
 #      auto-dumps a non-empty readable trace, and a `serve --metrics`
@@ -31,8 +30,7 @@
 #      bfc,dcqcn` on the committed deadlock reproducer exits nonzero naming
 #      the first diverging record
 #
-# Usage: scripts/verify.sh [--workspace]
-#   --workspace  additionally run every crate's unit tests
+# Usage: scripts/verify.sh
 #
 # Refresh the committed baseline after an intentional perf change with:
 #   cargo run --release -p bfc-bench            # full-fidelity run, writes BENCH.json
@@ -52,11 +50,6 @@ cargo test -q
 echo "== testkit: cargo test -q -p bfc-testkit"
 cargo test -q -p bfc-testkit
 
-if [[ "${1:-}" == "--workspace" ]]; then
-    echo "== workspace: cargo test -q --workspace"
-    cargo test -q --workspace
-fi
-
 echo "== trace-tool: synth -> stats -> replay round-trip"
 trace_csv="$tmpdir/trace.csv"
 cargo run --release -q -p bfc-experiments --bin trace-tool -- \
@@ -64,41 +57,31 @@ cargo run --release -q -p bfc-experiments --bin trace-tool -- \
 cargo run --release -q -p bfc-experiments --bin trace-tool -- stats "$trace_csv"
 cargo run --release -q -p bfc-experiments --bin trace-tool -- replay "$trace_csv" --scheme bfc
 
-echo "== sharded engine: quickstart at BFC_SHARDS=2 diffed against serial"
-# The sharded engine must be bit-identical to the serial one; the quickstart
-# example prints FCT tables and scalar metrics, so a byte-level diff of its
-# output is a cheap end-to-end witness.
-serial_out="$tmpdir/quickstart-serial.txt"
-sharded_out="$tmpdir/quickstart-sharded.txt"
-cargo run --release -q --example quickstart > "$serial_out"
+echo "== sharded engine: quickstart at BFC_SHARDS=2 diffed against 1 shard"
+# Results must be bit-identical at any shard count; the quickstart example
+# prints FCT tables and scalar metrics, so a byte-level diff of its output
+# is a cheap end-to-end witness.
+one_shard_out="$tmpdir/quickstart-1shard.txt"
+sharded_out="$tmpdir/quickstart-2shard.txt"
+cargo run --release -q --example quickstart > "$one_shard_out"
 BFC_SHARDS=2 cargo run --release -q --example quickstart > "$sharded_out"
-if ! diff -u "$serial_out" "$sharded_out"; then
-    echo "verify: FAILED — sharded (BFC_SHARDS=2) output differs from serial" >&2
+if ! diff -u "$one_shard_out" "$sharded_out"; then
+    echo "verify: FAILED — 2-shard (BFC_SHARDS=2) output differs from 1 shard" >&2
     exit 1
 fi
 
-echo "== fifo-rank build: quickstart diffed against the default build"
-# The fifo-rank feature drops canonical event ranks on the serial engine;
-# results must stay byte-identical, only per-event work changes.
-fifo_out="$tmpdir/quickstart-fifo.txt"
-cargo run --release -q --features fifo-rank --example quickstart > "$fifo_out"
-if ! diff -u "$serial_out" "$fifo_out"; then
-    echo "verify: FAILED — fifo-rank quickstart output differs from default build" >&2
-    exit 1
-fi
-
-echo "== epoch batching: sharded replay (--shards 2) diffed against serial"
-# Adaptive epoch batching is on by default, so the sharded replay exercises
-# the batched driver; its stdout must match the serial replay byte-for-byte
+echo "== epoch batching: 2-shard replay diffed against 1 shard"
+# Adaptive epoch batching is on by default, so the 2-shard replay exercises
+# the batched driver; its stdout must match the 1-shard replay byte-for-byte
 # (the epoch counters go to stderr for exactly this reason).
-replay_serial="$tmpdir/replay-serial.txt"
+replay_one_shard="$tmpdir/replay-1shard.txt"
 replay_batched="$tmpdir/replay-batched.txt"
 cargo run --release -q -p bfc-experiments --bin trace-tool -- \
-    replay "$trace_csv" --scheme bfc > "$replay_serial"
+    replay "$trace_csv" --scheme bfc > "$replay_one_shard"
 cargo run --release -q -p bfc-experiments --bin trace-tool -- \
     replay "$trace_csv" --scheme bfc --shards 2 > "$replay_batched"
-if ! diff -u "$replay_serial" "$replay_batched"; then
-    echo "verify: FAILED — batched sharded replay differs from serial replay" >&2
+if ! diff -u "$replay_one_shard" "$replay_batched"; then
+    echo "verify: FAILED — batched 2-shard replay differs from 1-shard replay" >&2
     exit 1
 fi
 
@@ -174,7 +157,7 @@ done
 echo "== service mode: snapshot -> resume diffed against uninterrupted replay"
 # A resumed run must be bit-identical to the uninterrupted one; the results
 # table (FCT percentiles, utilization, drops) is the end-to-end witness.
-# Exercise both engines: a serial snapshot and a 2-shard snapshot.
+# Snapshot at 1 and 2 shards: both cut at exactly --at-us.
 replay_out="$tmpdir/replay.txt"
 cargo run --release -q -p bfc-experiments --bin trace-tool -- \
     replay "$trace_csv" --scheme bfc > "$replay_out"

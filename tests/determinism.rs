@@ -10,8 +10,8 @@
 //!    4 threads.
 
 use backpressure_flow_control::experiments::{
-    run_experiment, run_experiment_sharded, ExperimentConfig, ParallelRunner, RankMode,
-    ReplayTrace, ScenarioSpec, Scheme,
+    run_experiment, run_experiment_sharded, ExperimentConfig, ParallelRunner, ReplayTrace,
+    Scheme,
 };
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::sim::{EventQueue, ReferenceEventQueue, SimDuration, SimTime};
@@ -198,71 +198,6 @@ fn assert_same_result(
     assert_eq!(a.total_flows, b.total_flows, "{label}: flow count");
     assert_eq!(a.end_time, b.end_time, "{label}: end time");
     assert_eq!(a.recovery, b.recovery, "{label}: recovery metrics");
-}
-
-/// Rank elision: the serial engine run with FIFO event keys (`RankMode::Fifo`,
-/// what the `fifo-rank` feature selects) is bit-identical to the default
-/// ranked run, for every paper-lineup scheme on a synthetic workload, a CSV
-/// replay, and a link-fault scenario. Serial pop order is already total under
-/// FIFO keys, so dropping the canonical rank must not change any result.
-#[test]
-fn fifo_rank_mode_matches_ranked_serial_bit_for_bit() {
-    let topo = fat_tree(FatTreeParams::tiny());
-    let window = SimDuration::from_micros(120);
-    let synthetic = synthesize(
-        &topo.hosts(),
-        &TraceParams::background_only(Workload::Google, 0.5, window, 23),
-    );
-    let params = TraceParams {
-        incast_fan_in: 6,
-        incast_total_bytes: 300_000,
-        ..TraceParams::google_with_incast(window, 31)
-    };
-    let incast = synthesize(&topo.hosts(), &params);
-    let replay = ReplayTrace::from_csv_str(&export_csv(&incast)).expect("round trip");
-    let faults = ScenarioSpec::single_link_down_up(
-        "tor0",
-        "spine0",
-        SimDuration::from_micros(50),
-        SimDuration::from_micros(100),
-    )
-    .resolve(&topo)
-    .expect("tiny topology has tor0/spine0");
-
-    for scheme in Scheme::paper_lineup() {
-        let name = scheme.name();
-        let cases: [(&str, &[TraceFlow], ExperimentConfig); 3] = [
-            (
-                "synthetic",
-                &synthetic,
-                ExperimentConfig::new(scheme.clone(), window),
-            ),
-            ("replay", replay.flows(), ExperimentConfig::new(scheme.clone(), window)),
-            (
-                "faults",
-                &synthetic,
-                ExperimentConfig::new(scheme, window).with_dynamics(faults.clone()),
-            ),
-        ];
-        for (kind, trace, config) in cases {
-            let ranked = run_experiment(&topo, trace, &config.clone());
-            let fifo = run_experiment(
-                &topo,
-                trace,
-                &config.clone().with_rank_mode(RankMode::Fifo),
-            );
-            assert_same_result(&format!("{kind}/{name}: fifo vs ranked"), &ranked, &fifo);
-            // The sharded engine always keeps ranked keys; a FIFO-mode config
-            // must still shard to the same answer.
-            let sharded = run_experiment_sharded(
-                &topo,
-                trace,
-                &config.clone().with_rank_mode(RankMode::Fifo),
-                2,
-            );
-            assert_same_result(&format!("{kind}/{name}: fifo vs sharded"), &ranked, &sharded);
-        }
-    }
 }
 
 /// Adaptive epoch batching is scheduling-only: with it on or off, the
