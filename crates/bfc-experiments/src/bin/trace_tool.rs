@@ -27,6 +27,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bfc_experiments::figures::failure_sweep;
+use bfc_experiments::sharded::{set_shards_env, shards_from_env};
 use bfc_experiments::{
     resume_experiment, serve_experiment_with, snapshot_experiment, ExperimentConfig,
     ExperimentResult, MetricsHub, ParallelRunner, ReplayTrace, Reproducer, ScenarioSpec, Scheme,
@@ -42,16 +43,27 @@ use bfc_workloads::{synthesize, ArrivalShape, IncastSchedule, TraceParams, Workl
 const USAGE: &str = "\
 usage: trace-tool <command> [options]
 
+common run options (each command below says which of them it takes):
+  --topo tiny|t1|t2         topology to run over; a trace's host ids must
+                            fit it [tiny]
+  --scheme bfc|bfc-vfid|ideal-fq|dcqcn|dcqcn-win|dcqcn-win-sfq|hpcc|lineup
+                            scheme(s) to run [bfc]; only replay and scenario
+                            take a lineup, the other commands one scheme
+  --seed <n>                experiment seed [1]
+  --drain-x <n>             drain window as a multiple of the horizon [4]
+  --shards <n>              split each run across n engine shards
+                            (bit-identical results; same as BFC_SHARDS=n,
+                            and a bad BFC_SHARDS is rejected like the flag)
+
 commands:
   synth --out <path>      synthesize a trace and write it as CSV
-    --topo tiny|t1|t2       topology whose hosts the trace runs over [tiny]
+    --topo, --seed          (common) hosts to draw from; trace RNG seed
     --workload google|fb-hadoop|websearch   flow-size CDF [google]
     --load <frac>           background offered load [0.6]
     --incast-load <frac>    extra incast load, 0 disables [0.05]
     --fan-in <n>            senders per incast event [6]
     --incast-bytes <n>      aggregate bytes per incast event [500000]
     --duration-us <n>       trace duration in microseconds [300]
-    --seed <n>              RNG seed [1]
     --arrivals lognormal|poisson|bursty     background gap shape [lognormal]
     --incast-schedule periodic|lognormal    incast event spacing [periodic]
 
@@ -59,30 +71,20 @@ commands:
     --gbps <rate>           host link rate for the load arithmetic [100]
 
   replay <path>           replay a trace CSV through the experiment driver
-    --topo tiny|t1|t2       topology to replay over (must cover the trace's
-                            host ids) [tiny]
-    --scheme bfc|bfc-vfid|ideal-fq|dcqcn|dcqcn-win|dcqcn-win-sfq|hpcc|lineup
-                            scheme(s) to run [bfc]
-    --seed <n>              experiment seed [1]
-    --drain-x <n>           drain window as a multiple of the horizon [4]
-    --shards <n>            split each run across n engine shards
-                            (bit-identical results; same as BFC_SHARDS=n)
+    all common run options
 
   snapshot <path>         run a trace partway and write a checkpoint of the
                           complete simulation state (versioned, checksummed;
                           resuming is bit-identical to the uninterrupted run)
     --at-us <n>             simulated instant to snapshot at (required)
     --out <snap>            snapshot file to write (required)
-    --topo tiny|t1|t2       topology to replay over [tiny]
-    --scheme ...            a single scheme (as replay, but not lineup) [bfc]
-    --seed <n>              experiment seed [1]
-    --drain-x <n>           drain window as a multiple of the horizon [4]
-    --shards <n>            take the snapshot under the sharded engine [1]
+    all common run options (one scheme)
 
   resume <path>           resume a snapshot against the same trace/options
                           and run to completion
     --snapshot <snap>       snapshot file to resume from (required)
-    --topo / --scheme / --seed / --drain-x   must match the snapshot run
+    --topo / --scheme / --seed / --drain-x   (common) must match the
+                            snapshot run; the shard count is the snapshot's
 
   serve                   run a live simulation fed by a streaming source,
                           admitting flows under an inflight cap (the cap is
@@ -92,11 +94,7 @@ commands:
     --listen <addr>         accept one TCP feeder (e.g. 127.0.0.1:9000;
                             port 0 picks a free port) speaking the CSV format
     --cap <n>               max flows admitted but not yet completed [64]
-    --topo tiny|t1|t2       topology to serve over [tiny]
-    --scheme ...            a single scheme (as replay, but not lineup) [bfc]
-    --seed <n>              experiment seed [1]
     --horizon-us <n>        measurement horizon in microseconds [300]
-    --drain-x <n>           drain window as a multiple of the horizon [4]
     --metrics <addr>        also serve a Prometheus-style text exposition of
                             the live metrics registry on this TCP address
                             (port 0 picks a free port; the bound address
@@ -104,6 +102,7 @@ commands:
                             each scrape ends with a `# EOF` line, and sending
                             a newline on the same connection requests a fresh
                             scrape
+    --topo / --scheme / --seed / --drain-x   (common, one scheme)
 
   scenario <path>         run a link-dynamics scenario (fault-injection)
                           file through the experiment driver and report the
@@ -119,15 +118,10 @@ commands:
                           tests/scenarios/) also works: it pins its own
                           topology, scheme and workload, so the
                           scenario-building flags below don't apply.
-    --topo tiny|t1|t2       topology the scenario runs over [tiny]
+    all common run options; --scheme defaults to lineup here
     --trace <csv>           replay this trace instead of synthesizing one
-    --scheme ... (as replay) scheme(s) to run [lineup]
     --load <frac>           background load of the synthetic trace [0.6]
     --duration-us <n>       synthetic trace duration in microseconds [300]
-    --seed <n>              experiment seed [1]
-    --drain-x <n>           drain window as a multiple of the horizon [4]
-    --shards <n>            split each run across n engine shards
-                            (bit-identical results; same as BFC_SHARDS=n)
     --json                  report safety/recovery per scheme as JSON on
                             stdout instead of the tables
     --trace-cap <n>         flight-recorder ring capacity for this run
@@ -147,9 +141,8 @@ commands:
       --kind <a,b>          record only these event kinds (record-time
                             filter; filtered events never enter the ring)
       --node <a,b>          record only events at these node ids
-      --topo / --scheme / --seed / --drain-x   as replay (single scheme)
-      --shards <n>          record on n engine shards (the merged trace
-                            is identical to a 1-shard recording)
+      all common run options (one scheme); the merged trace of a sharded
+                            recording is identical to a 1-shard one
     inspect <flight>        print the label, per-kind counts and records
       --limit <n>           print at most the last n records [40]
       --stats               print only the per-kind counts and the ring-drop
@@ -176,23 +169,45 @@ commands:
                           file that `fuzz --replay` (or the committed
                           regression tests) re-runs bit-identically.
                           Deterministic: same options, same bytes out.
-    --seed <n>              search seed [1]
+    --topo / --scheme / --seed / --shards   (common, one scheme); --topo
+                            may be a comma list like tiny,t1 to search
+                            (smallest first), --seed is the search seed
     --budget <n>            random cases to evaluate [24]
     --shrink-evals <n>      extra evaluations the shrinker may spend [24]
     --objective p99|p999|dip|recovery|safety   what to maximize [p99]
-    --scheme ...            a single scheme (as replay, but not lineup) [bfc]
-    --topo tiny|t1|t2       restrict the search to one topology, or a
-                            comma list like tiny,t1 (smallest first) [tiny]
-    --shards <n>            evaluate on n engine shards (same results)
     --replay                after writing, re-read the file and replay it";
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("trace-tool: {msg}\n\n{USAGE}");
-    ExitCode::FAILURE
+/// A failed command. Usage errors (an unknown command or option, a missing
+/// or extra argument) print the usage text; every other error is one line.
+enum CliError {
+    Usage(String),
+    Run(String),
 }
 
-fn parse_topology(name: &str) -> Option<Topology> {
-    bfc_experiments::fuzz::topology_by_name(name)
+impl From<String> for CliError {
+    fn from(msg: String) -> CliError {
+        CliError::Run(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> CliError {
+        CliError::Run(msg.to_string())
+    }
+}
+
+type CliResult<T = ()> = Result<T, CliError>;
+
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+fn fail(err: CliError) -> ExitCode {
+    match err {
+        CliError::Usage(msg) => eprintln!("trace-tool: {msg}\n\n{USAGE}"),
+        CliError::Run(msg) => eprintln!("trace-tool: {msg}\n(see `trace-tool help`)"),
+    }
+    ExitCode::FAILURE
 }
 
 fn parse_workload(name: &str) -> Option<Workload> {
@@ -204,32 +219,54 @@ fn parse_workload(name: &str) -> Option<Workload> {
     }
 }
 
-fn parse_schemes(name: &str) -> Option<Vec<Scheme>> {
-    match name {
-        "lineup" | "all" => Some(Scheme::paper_lineup()),
-        key => Scheme::from_cli_key(key).map(|s| vec![s]),
-    }
-}
-
-/// `--flag value` option walker shared by the three subcommands: returns the
-/// positional arguments, handing each `--flag`'s value to `set`.
+/// The option walker every command uses: returns the positional arguments,
+/// handing each `--flag value` pair to `set`, and each flag named in
+/// `switches` (which take no value) to `set` with an empty value. `set`
+/// returns false for a flag `cmd` does not take.
 fn walk_options(
+    cmd: &str,
     args: &[String],
-    mut set: impl FnMut(&str, &str) -> Result<(), String>,
-) -> Result<Vec<String>, String> {
+    switches: &[&str],
+    mut set: impl FnMut(&str, &str) -> Result<bool, String>,
+) -> CliResult<Vec<String>> {
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if let Some(flag) = arg.strip_prefix("--") {
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{flag} requires a value"))?;
-            set(flag, value)?;
-        } else {
+        let Some(flag) = arg.strip_prefix("--") else {
             positional.push(arg.clone());
+            continue;
+        };
+        let value = if switches.contains(&flag) {
+            ""
+        } else {
+            it.next()
+                .ok_or_else(|| usage(format!("{cmd}: --{flag} requires a value")))?
+        };
+        if !set(flag, value)? {
+            return Err(usage(format!("{cmd}: unknown option --{flag}")));
         }
     }
     Ok(positional)
+}
+
+/// Checks that `cmd` got exactly `N` positional arguments, described by
+/// `what` in the error.
+fn positionals<const N: usize>(
+    cmd: &str,
+    what: &str,
+    positional: Vec<String>,
+) -> CliResult<[String; N]> {
+    positional.try_into().map_err(|args: Vec<String>| {
+        usage(match args.first() {
+            Some(arg) if N == 0 => format!("{cmd}: unexpected argument {arg}"),
+            _ => format!("{cmd}: needs exactly {what}"),
+        })
+    })
+}
+
+/// The value of a required `--flag`, or a usage error naming it.
+fn required<T>(cmd: &str, flag: &str, value: Option<T>) -> CliResult<T> {
+    value.ok_or_else(|| usage(format!("{cmd}: {flag} is required")))
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
@@ -238,30 +275,171 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
         .map_err(|_| format!("--{flag}: not a valid number: {value}"))
 }
 
-fn cmd_synth(args: &[String]) -> Result<(), String> {
+/// Parses a count that must be at least 1.
+fn parse_count<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    let n = parse_num(flag, value)?;
+    if n == T::default() {
+        return Err(format!("--{flag} must be at least 1, got {value}"));
+    }
+    Ok(n)
+}
+
+/// A `--topo` name and the topology it builds.
+fn topology(name: &str) -> Result<(String, Topology), String> {
+    let topo = bfc_experiments::fuzz::topology_by_name(name)
+        .ok_or_else(|| format!("--topo: unknown topology {name}"))?;
+    Ok((name.to_string(), topo))
+}
+
+/// The common run options of every command that drives the simulator.
+const RUN_OPTIONS: &[&str] = &["topo", "scheme", "seed", "drain-x", "shards"];
+/// `resume` runs at the snapshot's shard count and `serve` on one shard.
+const UNSHARDED_RUN_OPTIONS: &[&str] = &["topo", "scheme", "seed", "drain-x"];
+
+/// The one parser of the common run options (see `USAGE`): each command
+/// names the subset it takes, and every `ExperimentConfig` the tool runs is
+/// built here. The shard count lives in `BFC_SHARDS`, where the engine reads
+/// it (`bfc_experiments::sharded::shards_from_env`).
+struct RunOptions {
+    cmd: &'static str,
+    takes: &'static [&'static str],
+    /// `fuzz` searches a comma list of topologies; the rest run one.
+    topo_list: bool,
+    topos: Vec<(String, Topology)>,
+    schemes: Vec<Scheme>,
+    seed: u64,
+    drain_x: u64,
+}
+
+impl RunOptions {
+    /// Defaults: the tiny fat-tree, BFC, seed 1, a drain window of 4x the
+    /// horizon. A command that takes `--shards` also checks `BFC_SHARDS`,
+    /// so a bad value fails instead of silently running one shard.
+    fn new(cmd: &'static str, takes: &'static [&'static str]) -> CliResult<RunOptions> {
+        if takes.contains(&"shards") {
+            if let Ok(value) = std::env::var("BFC_SHARDS") {
+                set_shards_env(&value).map_err(|e| format!("BFC_SHARDS: {e}"))?;
+            }
+        }
+        Ok(RunOptions {
+            cmd,
+            takes,
+            topo_list: false,
+            topos: vec![topology("tiny")?],
+            schemes: vec![Scheme::bfc()],
+            seed: 1,
+            drain_x: 4,
+        })
+    }
+
+    /// Sets one common run option; returns false if `flag` is not one this
+    /// command takes.
+    fn set(&mut self, flag: &str, value: &str) -> Result<bool, String> {
+        if !self.takes.contains(&flag) {
+            return Ok(false);
+        }
+        match flag {
+            "topo" => {
+                let names = if self.topo_list {
+                    value.split(',').collect()
+                } else {
+                    vec![value]
+                };
+                self.topos = names.into_iter().map(topology).collect::<Result<_, _>>()?;
+            }
+            "scheme" => {
+                self.schemes = match value {
+                    "lineup" | "all" => Scheme::paper_lineup(),
+                    key => vec![Scheme::from_cli_key(key)
+                        .ok_or_else(|| format!("--scheme: unknown scheme {key}"))?],
+                }
+            }
+            "seed" => self.seed = parse_num(flag, value)?,
+            "drain-x" => self.drain_x = parse_num(flag, value)?,
+            "shards" => set_shards_env(value)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// `walk_options` over the common run options plus the command's own.
+    fn walk(
+        &mut self,
+        args: &[String],
+        switches: &[&str],
+        mut set: impl FnMut(&str, &str) -> Result<bool, String>,
+    ) -> CliResult<Vec<String>> {
+        walk_options(self.cmd, args, switches, |flag, value| {
+            Ok(self.set(flag, value)? || set(flag, value)?)
+        })
+    }
+
+    fn topo(&self) -> &Topology {
+        &self.topos[0].1
+    }
+
+    fn topo_name(&self) -> &str {
+        &self.topos[0].0
+    }
+
+    /// The scheme of a command that runs one.
+    fn single(&self) -> Result<Scheme, String> {
+        match self.schemes.as_slice() {
+            [scheme] => Ok(scheme.clone()),
+            _ => Err(format!(
+                "{}: --scheme requires a single scheme, not a lineup",
+                self.cmd
+            )),
+        }
+    }
+
+    /// One config per selected scheme.
+    fn configs(&self, horizon: SimDuration) -> Vec<ExperimentConfig> {
+        self.schemes
+            .iter()
+            .map(|scheme| {
+                let mut config =
+                    ExperimentConfig::new(scheme.clone(), horizon).with_seed(self.seed);
+                config.drain = horizon * self.drain_x;
+                config
+            })
+            .collect()
+    }
+
+    /// The config of a command that runs one scheme.
+    fn config(&self, horizon: SimDuration) -> Result<ExperimentConfig, String> {
+        self.single()?;
+        Ok(self.configs(horizon).swap_remove(0))
+    }
+}
+
+/// Loads a trace CSV and validates it against the command's topology.
+fn load_trace(opts: &RunOptions, path: &str) -> Result<ReplayTrace, String> {
+    let replay = ReplayTrace::from_csv_path(path).map_err(|e| format!("{path}: {e}"))?;
+    replay
+        .validate(opts.topo())
+        .map_err(|e| format!("{}: {path}: {e}", opts.cmd))?;
+    Ok(replay)
+}
+
+fn cmd_synth(args: &[String]) -> CliResult {
+    let mut opts = RunOptions::new("synth", &["topo", "seed"])?;
     let mut out: Option<PathBuf> = None;
-    let mut topo: Option<Topology> = None;
-    let mut topo_name = "tiny".to_string();
     let mut workload = Workload::Google;
     let mut load = 0.6f64;
     let mut incast_load = 0.05f64;
     let mut fan_in = 6usize;
     let mut incast_bytes = 500_000u64;
     let mut duration_us = 300u64;
-    let mut seed = 1u64;
     let mut arrivals = ArrivalShape::paper_default();
     let mut incast_schedule = IncastSchedule::paper_default();
 
-    let positional = walk_options(args, |flag, value| {
+    let positional = opts.walk(args, &[], |flag, value| {
         match flag {
             "out" => out = Some(PathBuf::from(value)),
-            "topo" => {
-                topo = Some(
-                    parse_topology(value)
-                        .ok_or_else(|| format!("--topo: unknown topology {value}"))?,
-                );
-                topo_name = value.to_string();
-            }
             "workload" => {
                 workload = parse_workload(value)
                     .ok_or_else(|| format!("--workload: unknown workload {value}"))?;
@@ -271,7 +449,6 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
             "fan-in" => fan_in = parse_num(flag, value)?,
             "incast-bytes" => incast_bytes = parse_num(flag, value)?,
             "duration-us" => duration_us = parse_num(flag, value)?,
-            "seed" => seed = parse_num(flag, value)?,
             "arrivals" => {
                 arrivals = match value {
                     "lognormal" => ArrivalShape::paper_default(),
@@ -287,34 +464,34 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
                     _ => return Err(format!("--incast-schedule: unknown schedule {value}")),
                 }
             }
-            _ => return Err(format!("synth: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    if !positional.is_empty() {
-        return Err(format!("synth: unexpected argument {}", positional[0]));
-    }
-    let out = out.ok_or("synth: --out <path> is required")?;
+    positionals::<0>("synth", "", positional)?;
+    let out = required("synth", "--out <path>", out)?;
     // Keep the load arithmetic (and the incast event period) in sane,
     // non-panicking ranges before handing the parameters to `synthesize`.
     if !(load > 0.0 && load <= 1.5) {
-        return Err(format!("synth: --load must be in (0, 1.5], got {load}"));
+        return Err(format!("synth: --load must be in (0, 1.5], got {load}").into());
     }
     if !(0.0..=1.5).contains(&incast_load) {
-        return Err(format!(
-            "synth: --incast-load must be in [0, 1.5], got {incast_load}"
-        ));
+        return Err(format!("synth: --incast-load must be in [0, 1.5], got {incast_load}").into());
     }
     if incast_load > 0.0 && incast_bytes < 1_000 {
         return Err(format!(
             "synth: --incast-bytes must be at least 1000 when incast is enabled, got {incast_bytes}"
-        ));
+        )
+        .into());
+    }
+    if incast_load > 0.0 && fan_in == 0 {
+        return Err("synth: --fan-in must be at least 1 unless --incast-load is 0".into());
     }
     if duration_us == 0 {
         return Err("synth: --duration-us must be positive".into());
     }
 
-    let topo = topo.unwrap_or_else(|| parse_topology("tiny").expect("tiny always builds"));
+    let topo = opts.topo();
     let hosts = topo.hosts();
     let params = TraceParams {
         workload,
@@ -324,43 +501,39 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
         incast_total_bytes: incast_bytes,
         duration: SimDuration::from_micros(duration_us),
         host_gbps: topo.host_uplink(hosts[0]).link.rate_gbps,
-        seed,
+        seed: opts.seed,
         arrivals,
         incast_schedule,
     };
     let flows = synthesize(&hosts, &params);
     write_csv_file(&out, &flows).map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!(
-        "wrote {} flows over {} ({} hosts of `{topo_name}`) to {}",
+        "wrote {} flows over {} ({} hosts of `{}`) to {}",
         flows.len(),
         params.duration,
         hosts.len(),
+        opts.topo_name(),
         out.display()
     );
     Ok(())
 }
 
-/// Routes the runs of this invocation through the sharded engine by setting
-/// `BFC_SHARDS` (the experiment paths read it via
-/// `bfc_experiments::sharded::shards_from_env`). Results are bit-identical
-/// at any shard count; only wall-clock changes.
-fn set_shards(_flag: &str, value: &str) -> Result<(), String> {
-    bfc_experiments::sharded::set_shards_env(value)
-}
-
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String]) -> CliResult {
     let mut gbps = 100.0f64;
-    let positional = walk_options(args, |flag, value| {
+    let positional = walk_options("stats", args, &[], |flag, value| {
         match flag {
-            "gbps" => gbps = parse_num(flag, value)?,
-            _ => return Err(format!("stats: unknown option --{flag}")),
+            "gbps" => {
+                gbps = parse_num(flag, value)?;
+                if !(gbps.is_finite() && gbps > 0.0) {
+                    return Err(format!("--gbps must be a positive rate, got {value}"));
+                }
+            }
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    let [path] = positional.as_slice() else {
-        return Err("stats: exactly one trace path is required".into());
-    };
-    let flows = read_csv_file(path).map_err(|e| format!("{path}: {e}"))?;
+    let [path] = positionals("stats", "one trace path", positional)?;
+    let flows = read_csv_file(&path).map_err(|e| format!("{path}: {e}"))?;
     match TraceStats::from_flows(&flows, gbps) {
         Some(stats) => println!("{stats}"),
         None => println!("{path}: empty trace"),
@@ -368,55 +541,20 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let mut topo: Option<Topology> = None;
-    let mut topo_name = "tiny".to_string();
-    let mut schemes = vec![Scheme::bfc()];
-    let mut seed = 1u64;
-    let mut drain_x = 4u64;
-    let positional = walk_options(args, |flag, value| {
-        match flag {
-            "topo" => {
-                topo = Some(
-                    parse_topology(value)
-                        .ok_or_else(|| format!("--topo: unknown topology {value}"))?,
-                );
-                topo_name = value.to_string();
-            }
-            "scheme" => {
-                schemes = parse_schemes(value)
-                    .ok_or_else(|| format!("--scheme: unknown scheme {value}"))?;
-            }
-            "seed" => seed = parse_num(flag, value)?,
-            "drain-x" => drain_x = parse_num(flag, value)?,
-            "shards" => set_shards(flag, value)?,
-            _ => return Err(format!("replay: unknown option --{flag}")),
-        }
-        Ok(())
-    })?;
-    let [path] = positional.as_slice() else {
-        return Err("replay: exactly one trace path is required".into());
-    };
+fn cmd_replay(args: &[String]) -> CliResult {
+    let mut opts = RunOptions::new("replay", RUN_OPTIONS)?;
+    let positional = opts.walk(args, &[], |_, _| Ok(false))?;
+    let [path] = positionals("replay", "one trace path", positional)?;
 
-    let topo = topo.unwrap_or_else(|| parse_topology("tiny").expect("tiny always builds"));
-    let replay = ReplayTrace::from_csv_path(path).map_err(|e| format!("{path}: {e}"))?;
+    let replay = load_trace(&opts, &path)?;
     let horizon = replay.horizon();
-    let configs: Vec<ExperimentConfig> = schemes
-        .into_iter()
-        .map(|scheme| {
-            let mut config = ExperimentConfig::new(scheme, horizon).with_seed(seed);
-            config.drain = horizon * drain_x;
-            config
-        })
-        .collect();
     let runner = ParallelRunner::from_env();
-    let results = replay
-        .run_all(&topo, &configs, &runner)
-        .map_err(|e| format!("{path}: {e}"))?;
+    let results = runner.run_experiments(opts.topo(), replay.flows(), &opts.configs(horizon));
 
     println!(
-        "replayed {} flows (horizon {horizon}) over `{topo_name}` with {} worker thread{}\n",
+        "replayed {} flows (horizon {horizon}) over `{}` with {} worker thread{}\n",
         replay.flows().len(),
+        opts.topo_name(),
         runner.threads(),
         if runner.threads() == 1 { "" } else { "s" },
     );
@@ -473,100 +611,27 @@ fn print_results_table(results: &[ExperimentResult]) {
     println!("\n(FCT slowdown percentiles over non-incast flows)");
 }
 
-/// Shared option state for the `snapshot` / `resume` / `serve` commands:
-/// one scheme, one seed, one drain multiple, one topology.
-struct RunOptions {
-    topo: Topology,
-    topo_name: String,
-    scheme: Scheme,
-    seed: u64,
-    drain_x: u64,
-}
-
-impl RunOptions {
-    fn defaults() -> RunOptions {
-        RunOptions {
-            topo: parse_topology("tiny").expect("tiny always builds"),
-            topo_name: "tiny".to_string(),
-            scheme: Scheme::bfc(),
-            seed: 1,
-            drain_x: 4,
-        }
-    }
-
-    /// Handles the options common to the service-mode commands; returns
-    /// false if the flag is not one of them.
-    fn set(&mut self, cmd: &str, flag: &str, value: &str) -> Result<bool, String> {
-        match flag {
-            "topo" => {
-                self.topo = parse_topology(value)
-                    .ok_or_else(|| format!("--topo: unknown topology {value}"))?;
-                self.topo_name = value.to_string();
-            }
-            "scheme" => {
-                let schemes = parse_schemes(value)
-                    .ok_or_else(|| format!("--scheme: unknown scheme {value}"))?;
-                let [scheme] = schemes.as_slice() else {
-                    return Err(format!("{cmd}: --scheme requires a single scheme, not a lineup"));
-                };
-                self.scheme = scheme.clone();
-            }
-            "seed" => self.seed = parse_num(flag, value)?,
-            "drain-x" => self.drain_x = parse_num(flag, value)?,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    fn config(&self, horizon: SimDuration) -> ExperimentConfig {
-        let mut config = ExperimentConfig::new(self.scheme.clone(), horizon).with_seed(self.seed);
-        config.drain = horizon * self.drain_x;
-        config
-    }
-}
-
-/// Loads and validates the trace the snapshot/resume commands run over,
-/// exactly like `replay` does.
-fn load_trace(cmd: &str, opts: &RunOptions, path: &str) -> Result<ReplayTrace, String> {
-    let replay = ReplayTrace::from_csv_path(path).map_err(|e| format!("{path}: {e}"))?;
-    replay
-        .validate(&opts.topo)
-        .map_err(|e| format!("{cmd}: {path}: {e}"))?;
-    Ok(replay)
-}
-
-fn cmd_snapshot(args: &[String]) -> Result<(), String> {
-    let mut opts = RunOptions::defaults();
+fn cmd_snapshot(args: &[String]) -> CliResult {
+    let mut opts = RunOptions::new("snapshot", RUN_OPTIONS)?;
     let mut at_us: Option<u64> = None;
     let mut out: Option<PathBuf> = None;
-    let mut shards = 1usize;
-    let positional = walk_options(args, |flag, value| {
-        if opts.set("snapshot", flag, value)? {
-            return Ok(());
-        }
+    let positional = opts.walk(args, &[], |flag, value| {
         match flag {
             "at-us" => at_us = Some(parse_num(flag, value)?),
             "out" => out = Some(PathBuf::from(value)),
-            "shards" => {
-                shards = parse_num(flag, value)?;
-                if shards == 0 {
-                    return Err("--shards requires a positive shard count, got 0".into());
-                }
-            }
-            _ => return Err(format!("snapshot: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    let [path] = positional.as_slice() else {
-        return Err("snapshot: exactly one trace path is required".into());
-    };
-    let at_us = at_us.ok_or("snapshot: --at-us <n> is required")?;
-    let out = out.ok_or("snapshot: --out <snap> is required")?;
+    let [path] = positionals("snapshot", "one trace path", positional)?;
+    let at_us = required("snapshot", "--at-us <n>", at_us)?;
+    let out = required("snapshot", "--out <snap>", out)?;
 
-    let replay = load_trace("snapshot", &opts, path)?;
-    let config = opts.config(replay.horizon());
+    let replay = load_trace(&opts, &path)?;
+    let config = opts.config(replay.horizon())?;
     let at = SimTime::ZERO + SimDuration::from_micros(at_us);
-    let blob = snapshot_experiment(&opts.topo, replay.flows(), &config, at, shards);
+    let shards = shards_from_env();
+    let blob = snapshot_experiment(opts.topo(), replay.flows(), &config, at, shards);
     std::fs::write(&out, &blob).map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!(
         "snapshotted `{}` ({} flows, scheme {}) at {at} into {} ({} bytes, {} shard{})",
@@ -581,89 +646,61 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let mut opts = RunOptions::defaults();
+fn cmd_resume(args: &[String]) -> CliResult {
+    let mut opts = RunOptions::new("resume", UNSHARDED_RUN_OPTIONS)?;
     let mut snap_path: Option<PathBuf> = None;
-    let positional = walk_options(args, |flag, value| {
-        if opts.set("resume", flag, value)? {
-            return Ok(());
-        }
+    let positional = opts.walk(args, &[], |flag, value| {
         match flag {
             "snapshot" => snap_path = Some(PathBuf::from(value)),
-            _ => return Err(format!("resume: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    let [path] = positional.as_slice() else {
-        return Err("resume: exactly one trace path is required".into());
-    };
-    let snap_path = snap_path.ok_or("resume: --snapshot <snap> is required")?;
+    let [path] = positionals("resume", "one trace path", positional)?;
+    let snap_path = required("resume", "--snapshot <snap>", snap_path)?;
 
-    let replay = load_trace("resume", &opts, path)?;
+    let replay = load_trace(&opts, &path)?;
     let horizon = replay.horizon();
-    let config = opts.config(horizon);
+    let config = opts.config(horizon)?;
     let blob = std::fs::read(&snap_path)
         .map_err(|e| format!("reading {}: {e}", snap_path.display()))?;
-    let result = resume_experiment(&opts.topo, replay.flows(), &config, &blob)
+    let result = resume_experiment(opts.topo(), replay.flows(), &config, &blob)
         .map_err(|e| format!("{}: {e}", snap_path.display()))?;
     println!(
         "resumed {} flows (horizon {horizon}) over `{}` from `{}`\n",
         replay.flows().len(),
-        opts.topo_name,
+        opts.topo_name(),
         snap_path.display(),
     );
     print_results_table(std::slice::from_ref(&result));
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    // `--follow` is the one valueless flag in the tool; pull it out before
-    // the `--flag value` walker sees it.
+fn cmd_serve(args: &[String]) -> CliResult {
+    let mut opts = RunOptions::new("serve", UNSHARDED_RUN_OPTIONS)?;
     let mut follow = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            let is_follow = a.as_str() == "--follow";
-            follow |= is_follow;
-            !is_follow
-        })
-        .cloned()
-        .collect();
-
-    let mut opts = RunOptions::defaults();
     let mut tail_path: Option<PathBuf> = None;
     let mut listen_addr: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
     let mut cap = 64usize;
     let mut horizon_us = 300u64;
-    let positional = walk_options(&args, |flag, value| {
-        if opts.set("serve", flag, value)? {
-            return Ok(());
-        }
+    let positional = opts.walk(args, &["follow"], |flag, value| {
         match flag {
+            "follow" => follow = true,
             "tail" => tail_path = Some(PathBuf::from(value)),
             "listen" => listen_addr = Some(value.to_string()),
             "metrics" => metrics_addr = Some(value.to_string()),
-            "cap" => {
-                cap = parse_num(flag, value)?;
-                if cap == 0 {
-                    return Err("--cap must be at least 1".into());
-                }
-            }
-            "horizon-us" => {
-                horizon_us = parse_num(flag, value)?;
-                if horizon_us == 0 {
-                    return Err("--horizon-us must be positive".into());
-                }
-            }
-            _ => return Err(format!("serve: unknown option --{flag}")),
+            "cap" => cap = parse_count(flag, value)?,
+            "horizon-us" => horizon_us = parse_count(flag, value)?,
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    if !positional.is_empty() {
-        return Err(format!("serve: unexpected argument {}", positional[0]));
+    positionals::<0>("serve", "", positional)?;
+    if follow && tail_path.is_none() {
+        return Err(usage("serve: --follow only applies to --tail"));
     }
-    let config = opts.config(SimDuration::from_micros(horizon_us));
+    let config = opts.config(SimDuration::from_micros(horizon_us))?;
 
     // Live metrics exposition: an accept loop handing each connection to a
     // thread that serves one scrape immediately and a fresh one per request
@@ -698,17 +735,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             println!("listening on {local} (feed trace CSV, close to finish)");
             Box::new(source)
         }
-        _ => return Err("serve: exactly one of --tail <csv> or --listen <addr> is required".into()),
+        _ => {
+            return Err(usage(
+                "serve: exactly one of --tail <csv> or --listen <addr> is required",
+            ))
+        }
     };
-    if follow && tail_path.is_none() {
-        return Err("serve: --follow only applies to --tail".into());
-    }
 
-    let report = serve_experiment_with(&opts.topo, &config, source.as_mut(), cap, metrics.as_ref())
-        .map_err(|e| format!("serve: {e}"))?;
+    let report =
+        serve_experiment_with(opts.topo(), &config, source.as_mut(), cap, metrics.as_ref())
+            .map_err(|e| format!("serve: {e}"))?;
     println!(
         "served {} flows (horizon {}) over `{}` under inflight cap {cap}\n",
-        report.admitted, config.horizon, opts.topo_name,
+        report.admitted,
+        config.horizon,
+        opts.topo_name(),
     );
     print_results_table(std::slice::from_ref(&report.result));
     Ok(())
@@ -737,93 +778,47 @@ fn serve_scrapes(conn: std::net::TcpStream, hub: &MetricsHub) {
     }
 }
 
-fn cmd_scenario(args: &[String]) -> Result<ExitCode, String> {
-    // `--json` is valueless; pull it out before the `--flag value` walker.
+fn cmd_scenario(args: &[String]) -> CliResult<ExitCode> {
+    let mut opts = RunOptions::new("scenario", RUN_OPTIONS)?;
+    opts.schemes = Scheme::paper_lineup();
     let mut json = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            let is_json = a.as_str() == "--json";
-            json |= is_json;
-            !is_json
-        })
-        .cloned()
-        .collect();
-
-    let mut topo: Option<Topology> = None;
-    let mut topo_name = "tiny".to_string();
-    let mut schemes = Scheme::paper_lineup();
-    let mut trace_path: Option<PathBuf> = None;
+    let mut trace_path: Option<String> = None;
     let mut flight_path: Option<PathBuf> = None;
-    let mut diff_schemes: Option<String> = None;
+    let mut diff_pair: Option<(Scheme, Scheme)> = None;
     let mut trace_cap = 65_536usize;
     let mut load = 0.6f64;
     let mut duration_us = 300u64;
-    let mut seed = 1u64;
-    let mut drain_x = 4u64;
-    let positional = walk_options(&args, |flag, value| {
+    let positional = opts.walk(args, &["json"], |flag, value| {
         match flag {
-            "topo" => {
-                topo = Some(
-                    parse_topology(value)
-                        .ok_or_else(|| format!("--topo: unknown topology {value}"))?,
-                );
-                topo_name = value.to_string();
+            "json" => json = true,
+            "trace" => trace_path = Some(value.to_string()),
+            "diff-schemes" => {
+                let Some((a, b)) = value.split_once(',') else {
+                    return Err("--diff-schemes takes two comma-separated schemes".into());
+                };
+                let scheme = |key: &str| {
+                    Scheme::from_cli_key(key)
+                        .ok_or_else(|| format!("--diff-schemes: unknown scheme {key}"))
+                };
+                diff_pair = Some((scheme(a)?, scheme(b)?));
             }
-            "scheme" => {
-                schemes = parse_schemes(value)
-                    .ok_or_else(|| format!("--scheme: unknown scheme {value}"))?;
-            }
-            "trace" => trace_path = Some(PathBuf::from(value)),
-            "diff-schemes" => diff_schemes = Some(value.to_string()),
             "flight" => flight_path = Some(PathBuf::from(value)),
-            "trace-cap" => {
-                trace_cap = parse_num(flag, value)?;
-                if trace_cap == 0 {
-                    return Err("--trace-cap must be at least 1".into());
-                }
-            }
+            "trace-cap" => trace_cap = parse_count(flag, value)?,
             "load" => load = parse_num(flag, value)?,
             "duration-us" => duration_us = parse_num(flag, value)?,
-            "seed" => seed = parse_num(flag, value)?,
-            "drain-x" => drain_x = parse_num(flag, value)?,
-            "shards" => set_shards(flag, value)?,
-            _ => return Err(format!("scenario: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    let [path] = positional.as_slice() else {
-        return Err("scenario: exactly one scenario path is required".into());
-    };
+    let [path] = positionals("scenario", "one scenario path", positional)?;
     if !(load > 0.0 && load <= 1.5) {
-        return Err(format!("scenario: --load must be in (0, 1.5], got {load}"));
+        return Err(format!("scenario: --load must be in (0, 1.5], got {load}").into());
     }
     if duration_us == 0 {
         return Err("scenario: --duration-us must be positive".into());
     }
-    let diff_pair: Option<(Scheme, Scheme)> = match &diff_schemes {
-        None => None,
-        Some(spec) => {
-            let parse_one = |key: &str| -> Result<Scheme, String> {
-                let parsed = parse_schemes(key)
-                    .ok_or_else(|| format!("--diff-schemes: unknown scheme {key}"))?;
-                let [s] = parsed.as_slice() else {
-                    return Err("--diff-schemes: lineups are not allowed, name two schemes".into());
-                };
-                Ok(s.clone())
-            };
-            let parts: Vec<&str> = spec.split(',').collect();
-            let [a, b] = parts.as_slice() else {
-                return Err(
-                    "scenario: --diff-schemes takes exactly two comma-separated schemes".into(),
-                );
-            };
-            Some((parse_one(a)?, parse_one(b)?))
-        }
-    };
 
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
     // A file whose first directive is an `objective` header is a committed
     // fuzz reproducer: it pins its own topology, scheme, workload and fault
     // schedule, so the scenario-building flags don't apply to it.
@@ -833,55 +828,52 @@ fn cmd_scenario(args: &[String]) -> Result<ExitCode, String> {
         .find(|l| !l.is_empty() && !l.starts_with('#'))
         .is_some_and(|l| l.starts_with("objective "));
 
-    let (topo, topo_name, flows, configs, run_seed) = if is_reproducer {
+    let (flows, configs) = if is_reproducer {
         let repro = Reproducer::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         let (topo, flows, config) = repro.materialize().map_err(|e| format!("{path}: {e}"))?;
-        let run_seed = config.seed;
+        // The reproducer's topology and seed label the run and its dumps.
+        opts.topos = vec![(repro.topo.clone(), topo)];
+        opts.seed = config.seed;
         // Always record: the ring is bounded and results are bit-identical
         // either way, and a VIOLATION verdict must be able to dump the
         // events leading up to it.
-        let config = config.with_trace_capacity(trace_cap);
-        (topo, repro.topo.clone(), flows, vec![config], run_seed)
+        (flows, vec![config.with_trace_capacity(trace_cap)])
     } else {
-        let topo = topo.unwrap_or_else(|| parse_topology("tiny").expect("tiny always builds"));
         let spec = ScenarioSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let schedule = spec.resolve(&topo).map_err(|e| format!("{path}: {e}"))?;
-
+        let schedule = spec
+            .resolve(opts.topo())
+            .map_err(|e| format!("{path}: {e}"))?;
         let (flows, horizon) = match &trace_path {
             Some(csv) => {
-                let replay = ReplayTrace::from_csv_path(csv)
-                    .map_err(|e| format!("{}: {e}", csv.display()))?;
-                replay
-                    .validate(&topo)
-                    .map_err(|e| format!("{}: {e}", csv.display()))?;
+                let replay = load_trace(&opts, csv)?;
                 let horizon = replay.horizon();
                 (replay.flows().to_vec(), horizon)
             }
             None => {
-                let hosts = topo.hosts();
+                let hosts = opts.topo().hosts();
                 let duration = SimDuration::from_micros(duration_us);
-                let params = TraceParams::background_only(Workload::Google, load, duration, seed);
+                let params =
+                    TraceParams::background_only(Workload::Google, load, duration, opts.seed);
                 let params = TraceParams {
-                    host_gbps: topo.host_uplink(hosts[0]).link.rate_gbps,
+                    host_gbps: opts.topo().host_uplink(hosts[0]).link.rate_gbps,
                     ..params
                 };
                 (synthesize(&hosts, &params), duration)
             }
         };
-        let configs: Vec<ExperimentConfig> = schemes
+        let configs = opts
+            .configs(horizon)
             .into_iter()
-            .map(|scheme| {
-                let mut config = ExperimentConfig::new(scheme, horizon)
-                    .with_seed(seed)
-                    .with_dynamics(schedule.clone())
-                    // See above: tracing is always on in scenario runs.
-                    .with_trace_capacity(trace_cap);
-                config.drain = horizon * drain_x;
+            // See above: tracing is always on in scenario runs.
+            .map(|config| {
                 config
+                    .with_dynamics(schedule.clone())
+                    .with_trace_capacity(trace_cap)
             })
             .collect();
-        (topo, topo_name, flows, configs, seed)
+        (flows, configs)
     };
+    let (topo, topo_name, run_seed) = (opts.topo(), opts.topo_name(), opts.seed);
     // `--diff-schemes a,b`: same scenario, same inputs, two schemes — run
     // both traced (overriding even a reproducer's pinned scheme) and diff
     // the flight traces in memory at the end.
@@ -904,11 +896,11 @@ fn cmd_scenario(args: &[String]) -> Result<ExitCode, String> {
         return Err("scenario: --flight requires a single --scheme, not a lineup".into());
     }
     let runner = ParallelRunner::from_env();
-    let mut results = runner.run_experiments(&topo, &flows, &configs);
+    let mut results = runner.run_experiments(topo, &flows, &configs);
 
     // The scenario file's stem labels the rows; the table itself is the
     // failure-sweep figure's formatter, so the CLI and figure cannot drift.
-    let label = std::path::Path::new(path)
+    let label = std::path::Path::new(&path)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "scenario".to_string());
@@ -942,7 +934,10 @@ fn cmd_scenario(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if json {
-        println!("{}", scenario_json(&label, &topo_name, flows.len(), fault_events, &results));
+        println!(
+            "{}",
+            scenario_json(&label, topo_name, flows.len(), fault_events, &results)
+        );
         print_engine_counters(&results);
     } else {
         println!(
@@ -1106,9 +1101,11 @@ fn safety_line(r: &ExperimentResult) -> String {
     line
 }
 
-fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_trace(args: &[String]) -> CliResult<ExitCode> {
     let Some((sub, rest)) = args.split_first() else {
-        return Err("trace: missing subcommand (record, inspect, filter, top, diff)".into());
+        return Err(usage(
+            "trace: missing subcommand (record, inspect, filter, top, diff)",
+        ));
     };
     match sub.as_str() {
         "record" => cmd_trace_record(rest).map(|()| ExitCode::SUCCESS),
@@ -1116,27 +1113,25 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
         "filter" => cmd_trace_filter(rest).map(|()| ExitCode::SUCCESS),
         "top" => cmd_trace_top(rest).map(|()| ExitCode::SUCCESS),
         "diff" => cmd_trace_diff(rest),
-        other => Err(format!("trace: unknown subcommand `{other}`")),
+        other => Err(usage(format!("trace: unknown subcommand `{other}`"))),
     }
 }
 
-fn cmd_trace_diff(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_trace_diff(args: &[String]) -> CliResult<ExitCode> {
     let mut context = 5usize;
-    let positional = walk_options(args, |flag, value| {
+    let positional = walk_options("trace diff", args, &[], |flag, value| {
         match flag {
             "context" => context = parse_num(flag, value)?,
-            _ => return Err(format!("trace diff: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    let [path_a, path_b] = positional.as_slice() else {
-        return Err("trace diff: exactly two flight paths are required".into());
-    };
-    let (label_a, flight_a) = open_flight(path_a)?;
-    let (label_b, flight_b) = open_flight(path_b)?;
+    let [path_a, path_b] = positionals("trace diff", "two flight paths", positional)?;
+    let (label_a, flight_a) = open_flight(&path_a)?;
+    let (label_b, flight_b) = open_flight(&path_b)?;
     Ok(print_trace_diff(
-        (path_a, &label_a, &flight_a),
-        (path_b, &label_b, &flight_b),
+        (&path_a, &label_a, &flight_a),
+        (&path_b, &label_b, &flight_b),
         context,
     ))
 }
@@ -1216,42 +1211,31 @@ fn print_trace_diff(
     ExitCode::FAILURE
 }
 
-fn cmd_trace_record(args: &[String]) -> Result<(), String> {
-    let mut opts = RunOptions::defaults();
+fn cmd_trace_record(args: &[String]) -> CliResult {
+    let mut opts = RunOptions::new("trace record", RUN_OPTIONS)?;
     let mut out: Option<PathBuf> = None;
     let mut last = 65_536usize;
     let mut kinds: Vec<String> = Vec::new();
     let mut nodes: Vec<u32> = Vec::new();
-    let positional = walk_options(args, |flag, value| {
-        if opts.set("trace record", flag, value)? {
-            return Ok(());
-        }
+    let positional = opts.walk(args, &[], |flag, value| {
         match flag {
             "out" => out = Some(PathBuf::from(value)),
-            "last" => {
-                last = parse_num(flag, value)?;
-                if last == 0 {
-                    return Err("--last must be at least 1".into());
-                }
-            }
+            "last" => last = parse_count(flag, value)?,
             "kind" => kinds.extend(value.split(',').map(str::to_string)),
             "node" => {
                 for part in value.split(',') {
                     nodes.push(parse_num(flag, part)?);
                 }
             }
-            "shards" => set_shards(flag, value)?,
-            _ => return Err(format!("trace record: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    let [path] = positional.as_slice() else {
-        return Err("trace record: exactly one trace CSV path is required".into());
-    };
-    let out = out.ok_or("trace record: --out <flight> is required")?;
+    let [path] = positionals("trace record", "one trace CSV path", positional)?;
+    let out = required("trace record", "--out <flight>", out)?;
 
-    let replay = load_trace("trace record", &opts, path)?;
-    let mut config = opts.config(replay.horizon()).with_trace_capacity(last);
+    let replay = load_trace(&opts, &path)?;
+    let mut config = opts.config(replay.horizon())?.with_trace_capacity(last);
     if !kinds.is_empty() || !nodes.is_empty() {
         let mut filter = TraceFilter::all();
         if !kinds.is_empty() {
@@ -1268,7 +1252,7 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
         }
         config = config.with_trace_filter(filter);
     }
-    let result = bfc_experiments::run_experiment_auto(&opts.topo, replay.flows(), &config);
+    let result = bfc_experiments::run_experiment_auto(opts.topo(), replay.flows(), &config);
     let flight = result.flight.expect("tracing was enabled for this run");
     let label = format!(
         "replay {path} scheme {} seed {}",
@@ -1282,7 +1266,7 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
         flight.records.len(),
         flight.dropped,
         replay.flows().len(),
-        opts.topo_name,
+        opts.topo_name(),
         out.display(),
         blob.len(),
     );
@@ -1300,31 +1284,19 @@ fn record_line(r: &bfc_net::trace::TraceRecord) -> String {
     format!("{:>8}  {:<14} {}", r.seq, format!("{}", r.at), r.event.render())
 }
 
-fn cmd_trace_inspect(args: &[String]) -> Result<(), String> {
-    // `--stats` is valueless; pull it out before the `--flag value` walker.
+fn cmd_trace_inspect(args: &[String]) -> CliResult {
     let mut stats = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            let is_stats = a.as_str() == "--stats";
-            stats |= is_stats;
-            !is_stats
-        })
-        .cloned()
-        .collect();
-
     let mut limit = 40usize;
-    let positional = walk_options(&args, |flag, value| {
+    let positional = walk_options("trace inspect", args, &["stats"], |flag, value| {
         match flag {
+            "stats" => stats = true,
             "limit" => limit = parse_num(flag, value)?,
-            _ => return Err(format!("trace inspect: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    let [path] = positional.as_slice() else {
-        return Err("trace inspect: exactly one flight path is required".into());
-    };
-    let (label, flight) = open_flight(path)?;
+    let [path] = positionals("trace inspect", "one flight path", positional)?;
+    let (label, flight) = open_flight(&path)?;
 
     println!("label:   {label}");
     println!(
@@ -1354,26 +1326,26 @@ fn cmd_trace_inspect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace_filter(args: &[String]) -> Result<(), String> {
+fn cmd_trace_filter(args: &[String]) -> CliResult {
     let mut kind: Option<String> = None;
     let mut node: Option<u32> = None;
     let mut limit = 1_000usize;
-    let positional = walk_options(args, |flag, value| {
+    let positional = walk_options("trace filter", args, &[], |flag, value| {
         match flag {
             "kind" => kind = Some(value.to_string()),
             "node" => node = Some(parse_num(flag, value)?),
             "limit" => limit = parse_num(flag, value)?,
-            _ => return Err(format!("trace filter: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    let [path] = positional.as_slice() else {
-        return Err("trace filter: exactly one flight path is required".into());
-    };
+    let [path] = positionals("trace filter", "one flight path", positional)?;
     if kind.is_none() && node.is_none() {
-        return Err("trace filter: at least one of --kind or --node is required".into());
+        return Err(usage(
+            "trace filter: at least one of --kind or --node is required",
+        ));
     }
-    let (_, flight) = open_flight(path)?;
+    let (_, flight) = open_flight(&path)?;
 
     let matches: Vec<_> = flight
         .records
@@ -1398,31 +1370,19 @@ fn cmd_trace_filter(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace_top(args: &[String]) -> Result<(), String> {
-    // `--tree` is valueless; pull it out before the `--flag value` walker.
+fn cmd_trace_top(args: &[String]) -> CliResult {
     let mut tree = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            let is_tree = a.as_str() == "--tree";
-            tree |= is_tree;
-            !is_tree
-        })
-        .cloned()
-        .collect();
-
     let mut n = 10usize;
-    let positional = walk_options(&args, |flag, value| {
+    let positional = walk_options("trace top", args, &["tree"], |flag, value| {
         match flag {
+            "tree" => tree = true,
             "n" => n = parse_num(flag, value)?,
-            _ => return Err(format!("trace top: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    let [path] = positional.as_slice() else {
-        return Err("trace top: exactly one flight path is required".into());
-    };
-    let (_, flight) = open_flight(path)?;
+    let [path] = positionals("trace top", "one flight path", positional)?;
+    let (_, flight) = open_flight(&path)?;
 
     if tree {
         print_pause_tree(&flight);
@@ -1514,61 +1474,31 @@ fn print_pause_tree(flight: &FlightTrace) {
     }
 }
 
-fn cmd_fuzz(args: &[String]) -> Result<(), String> {
-    // `--replay` is valueless; pull it out before the `--flag value` walker.
-    let mut replay = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            let is_replay = a.as_str() == "--replay";
-            replay |= is_replay;
-            !is_replay
-        })
-        .cloned()
-        .collect();
-
+fn cmd_fuzz(args: &[String]) -> CliResult {
+    let mut opts = RunOptions::new("fuzz", &["topo", "scheme", "seed", "shards"])?;
+    opts.topo_list = true;
     let mut cfg = bfc_experiments::FuzzConfig::new();
     let mut out: Option<PathBuf> = None;
-    let positional = walk_options(&args, |flag, value| {
+    let mut replay = false;
+    let positional = opts.walk(args, &["replay"], |flag, value| {
         match flag {
+            "replay" => replay = true,
             "out" => out = Some(PathBuf::from(value)),
-            "seed" => cfg.seed = parse_num(flag, value)?,
-            "budget" => {
-                cfg.budget = parse_num(flag, value)?;
-                if cfg.budget == 0 {
-                    return Err("--budget must be at least 1".into());
-                }
-            }
+            "budget" => cfg.budget = parse_count(flag, value)?,
             "shrink-evals" => cfg.shrink_evals = parse_num(flag, value)?,
             "objective" => {
                 cfg.objective = bfc_experiments::fuzz::Objective::from_cli_key(value)
                     .ok_or_else(|| format!("--objective: unknown objective {value}"))?;
             }
-            "scheme" => {
-                let schemes = parse_schemes(value)
-                    .ok_or_else(|| format!("--scheme: unknown scheme {value}"))?;
-                let [scheme] = schemes.as_slice() else {
-                    return Err("fuzz: --scheme requires a single scheme, not a lineup".into());
-                };
-                cfg.scheme = scheme.clone();
-            }
-            "topo" => {
-                cfg.topos = value.split(',').map(str::to_string).collect();
-                for name in &cfg.topos {
-                    if parse_topology(name).is_none() {
-                        return Err(format!("--topo: unknown topology {name}"));
-                    }
-                }
-            }
-            "shards" => set_shards(flag, value)?,
-            _ => return Err(format!("fuzz: unknown option --{flag}")),
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     })?;
-    if !positional.is_empty() {
-        return Err(format!("fuzz: unexpected argument {}", positional[0]));
-    }
-    let out = out.ok_or("fuzz: --out <path> is required")?;
+    positionals::<0>("fuzz", "", positional)?;
+    let out = required("fuzz", "--out <path>", out)?;
+    cfg.seed = opts.seed;
+    cfg.scheme = opts.single()?;
+    cfg.topos = opts.topos.into_iter().map(|(name, _)| name).collect();
 
     let outcome = bfc_experiments::fuzz::fuzz(&cfg)?;
     let text = format!(
@@ -1613,7 +1543,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
-        return fail("missing command");
+        return fail(usage("missing command"));
     };
     // `scenario` and `trace` can exit nonzero *without* a usage error (a
     // divergence found by `trace diff` / `--diff-schemes` is a result, not a
@@ -1632,10 +1562,7 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
-        other => return fail(&format!("unknown command `{other}`")),
+        other => return fail(usage(format!("unknown command `{other}`"))),
     };
-    match result {
-        Ok(code) => code,
-        Err(msg) => fail(&msg),
-    }
+    result.unwrap_or_else(fail)
 }

@@ -66,31 +66,40 @@ impl Scale {
         }
     }
 
-    /// Parses process arguments: `--full` switches to full scale, `--bursty`
-    /// to on/off background arrivals, `--lognormal-incast` to log-normal
-    /// incast inter-event gaps, and `--shards N` routes every run through
-    /// the sharded engine (equivalent to setting `BFC_SHARDS=N`; results are
-    /// bit-identical at any shard count).
+    /// Parses the process arguments with [`Scale::parse`]; on a bad
+    /// argument prints the error and exits with status 2.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = if args.iter().any(|a| a == "--full") {
-            Scale::full()
-        } else {
-            Scale::quick()
-        };
-        if args.iter().any(|a| a == "--bursty") {
-            scale.arrivals = ArrivalShape::bursty_default();
-        }
-        if args.iter().any(|a| a == "--lognormal-incast") {
-            scale.incast_schedule = IncastSchedule::LogNormalGaps { sigma: 1.0 };
-        }
-        if let Some(i) = args.iter().position(|a| a == "--shards") {
-            let value = args.get(i + 1).map(String::as_str).unwrap_or("");
-            if let Err(e) = crate::sharded::set_shards_env(value) {
-                panic!("{e}");
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nflags: --full --bursty --lognormal-incast --shards <n>");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses figure-binary arguments: `--full` switches to full scale,
+    /// `--bursty` to on/off background arrivals, `--lognormal-incast` to
+    /// log-normal incast inter-event gaps, and `--shards N` routes every run
+    /// through the sharded engine (it sets `BFC_SHARDS=N`; results are
+    /// bit-identical at any shard count). Unknown arguments and a missing or
+    /// bad `--shards` value are errors.
+    pub fn parse(args: &[String]) -> Result<Scale, String> {
+        let mut scale = Scale::quick();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--full" => scale.full = true,
+                "--bursty" => scale.arrivals = ArrivalShape::bursty_default(),
+                "--lognormal-incast" => {
+                    scale.incast_schedule = IncastSchedule::LogNormalGaps { sigma: 1.0 }
+                }
+                "--shards" => {
+                    let value = it.next().ok_or("--shards requires a value")?;
+                    crate::sharded::set_shards_env(value)?;
+                }
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        scale
+        Ok(scale)
     }
 
     /// The T1-like topology used by the headline figures.
@@ -983,6 +992,35 @@ mod tests {
         scale.incast_schedule = IncastSchedule::LogNormalGaps { sigma: 1.0 };
         let t = fig05::run_google_incast(&scale);
         assert!(t.contains("BFC"), "bursty sweep must still run:\n{t}");
+    }
+
+    fn parse(args: &[&str]) -> Result<Scale, String> {
+        Scale::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn scale_parse_reads_every_flag() {
+        assert_eq!(parse(&[]), Ok(Scale::quick()));
+        let scale = parse(&["--lognormal-incast", "--full", "--bursty"]).expect("valid flags");
+        assert!(scale.full);
+        assert_eq!(scale.arrivals, ArrivalShape::bursty_default());
+        assert_eq!(
+            scale.incast_schedule,
+            IncastSchedule::LogNormalGaps { sigma: 1.0 }
+        );
+    }
+
+    #[test]
+    fn scale_parse_rejects_unknown_and_incomplete_arguments() {
+        let err = parse(&["--ful"]).unwrap_err();
+        assert!(err.contains("--ful"), "{err}");
+        assert!(parse(&["--full", "extra"]).is_err());
+        let err = parse(&["--shards"]).unwrap_err();
+        assert!(err.contains("requires a value"), "{err}");
+        // Rejected values never reach `BFC_SHARDS`.
+        assert!(parse(&["--shards", "0"]).unwrap_err().contains("positive"));
+        let err = parse(&["--shards", "two"]).unwrap_err();
+        assert!(err.contains("not a valid number"), "{err}");
     }
 
     #[test]

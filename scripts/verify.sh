@@ -141,7 +141,9 @@ for sub in "stats $bad_csv" \
            "replay $bad_csv --scheme bfc" \
            "snapshot $bad_csv --at-us 10 --out $tmpdir/bad.snap" \
            "resume $bad_csv --snapshot $tmpdir/nonexistent.snap" \
-           "scenario $scenario_txt --trace $bad_csv --scheme bfc"; do
+           "scenario $scenario_txt --trace $bad_csv --scheme bfc" \
+           "trace record $bad_csv --out $tmpdir/bad.flight" \
+           "serve --tail $bad_csv"; do
     err="$tmpdir/bad.err"
     if cargo run --release -q -p bfc-experiments --bin trace-tool -- $sub 2> "$err"; then
         echo "verify: FAILED — trace-tool $sub accepted a malformed trace" >&2
