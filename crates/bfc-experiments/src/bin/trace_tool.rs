@@ -1158,16 +1158,16 @@ fn print_trace_diff(
     let start = diff.index.saturating_sub(context);
     if start < diff.index {
         println!("  (common prefix, last {} records)", diff.index - start);
-        for r in &flight_a.records[start..diff.index] {
-            println!("  = {}", record_line(r));
+        for (r, i) in flight_a.records[start..diff.index].iter().zip(start..) {
+            println!("  = {}", record_line(i, r));
         }
     }
     match &diff.first_a {
-        Some(r) => println!("  a {}", record_line(r)),
+        Some(r) => println!("  a {}", record_line(diff.index, r)),
         None => println!("  a (trace ends here)"),
     }
     match &diff.first_b {
-        Some(r) => println!("  b {}", record_line(r)),
+        Some(r) => println!("  b {}", record_line(diff.index, r)),
         None => println!("  b (trace ends here)"),
     }
     println!(
@@ -1279,9 +1279,10 @@ fn open_flight(path: &str) -> Result<(String, FlightTrace), String> {
     read_trace(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
-/// One rendered record line: sequence, simulated time, one-line event text.
-fn record_line(r: &bfc_net::trace::TraceRecord) -> String {
-    format!("{:>8}  {:<14} {}", r.seq, format!("{}", r.at), r.event.render())
+/// One rendered record line: canonical index (the record's position in its
+/// trace), simulated time, one-line event text.
+fn record_line(index: usize, r: &bfc_net::trace::TraceRecord) -> String {
+    format!("{index:>8}  {:<14} {}", format!("{}", r.at), r.event.render())
 }
 
 fn cmd_trace_inspect(args: &[String]) -> CliResult {
@@ -1320,8 +1321,8 @@ fn cmd_trace_inspect(args: &[String]) -> CliResult {
     } else {
         println!("\nrecords:");
     }
-    for r in &flight.records[skip..] {
-        println!("{}", record_line(r));
+    for (i, r) in flight.records.iter().enumerate().skip(skip) {
+        println!("{}", record_line(i, r));
     }
     Ok(())
 }
@@ -1350,8 +1351,9 @@ fn cmd_trace_filter(args: &[String]) -> CliResult {
     let matches: Vec<_> = flight
         .records
         .iter()
-        .filter(|r| kind.as_deref().is_none_or(|k| r.event.kind() == k))
-        .filter(|r| node.is_none_or(|n| r.event.node() == Some(NodeId(n))))
+        .enumerate()
+        .filter(|(_, r)| kind.as_deref().is_none_or(|k| r.event.kind() == k))
+        .filter(|(_, r)| node.is_none_or(|n| r.event.node() == Some(NodeId(n))))
         .collect();
     let skip = matches.len().saturating_sub(limit);
     println!(
@@ -1364,8 +1366,8 @@ fn cmd_trace_filter(args: &[String]) -> CliResult {
             String::new()
         }
     );
-    for r in &matches[skip..] {
-        println!("{}", record_line(r));
+    for &(i, r) in &matches[skip..] {
+        println!("{}", record_line(i, r));
     }
     Ok(())
 }

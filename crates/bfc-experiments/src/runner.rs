@@ -228,7 +228,7 @@ pub struct ExperimentResult {
     /// and engine-internal series, merged deterministically across shards.
     /// Observability only — never part of any bit-identity comparison.
     pub registry: MetricsRegistry,
-    /// Flight-recorder trace in canonical `(time, rank, seq)` order, or
+    /// Flight-recorder trace in canonical `(time, rank)` order, or
     /// `None` when tracing was off. Observability only — never part of any
     /// bit-identity comparison.
     pub flight: Option<FlightTrace>,
@@ -909,8 +909,8 @@ pub(crate) fn assemble_result(
         fct_hist.merge(&s.fct_hist);
     }
 
-    // Flight traces: concatenating the per-shard rings and restoring
-    // canonical `(time, rank, seq)` order reproduces exactly the stream one
+    // Flight traces: concatenating the per-shard rings and stably sorting
+    // them into canonical `(time, rank)` order reproduces exactly the stream one
     // recorder over the whole fabric would have captured (same merge
     // argument as above — equal `(time, rank)` implies one owning shard). A
     // 1-shard run's single trace goes through the same canonicalization.

@@ -283,3 +283,78 @@ fn nonsense_rates_and_fan_ins_are_rejected() {
         "0",
     ]);
 }
+
+/// The first column of a rendered record line: its canonical index.
+fn index_of(line: &str) -> usize {
+    let field = line.split_whitespace().next().unwrap_or_default();
+    field
+        .parse()
+        .unwrap_or_else(|_| panic!("no record index in {line:?}"))
+}
+
+#[test]
+fn record_lines_print_the_canonical_index() {
+    let f = Fixture::new("index");
+    for (scheme, out) in [("bfc", "bfc.flight"), ("dcqcn", "dcqcn.flight")] {
+        f.ok(&[
+            "trace",
+            "record",
+            "trace.csv",
+            "--out",
+            out,
+            "--scheme",
+            scheme,
+        ]);
+    }
+
+    // `inspect --limit 5` shows the last five records, numbered n-5..n-1.
+    let tail = f.ok(&["trace", "inspect", "bfc.flight", "--limit", "5"]);
+    let held: usize = tail
+        .lines()
+        .find_map(|l| l.strip_prefix("records: "))
+        .and_then(|l| l.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no record count in {tail}"));
+    let shown: Vec<usize> = tail.lines().rev().take(5).map(index_of).collect();
+    assert_eq!(shown, (held - 5..held).rev().collect::<Vec<_>>(), "{tail}");
+
+    // A filtered line is the record's own line, index included.
+    let limit = held.to_string();
+    let all = f.ok(&["trace", "inspect", "bfc.flight", "--limit", &limit]);
+    let all: std::collections::HashSet<&str> = all.lines().collect();
+    let dequeues = f.ok(&[
+        "trace",
+        "filter",
+        "bfc.flight",
+        "--kind",
+        "dequeue",
+        "--limit",
+        &limit,
+    ]);
+    let lines: Vec<&str> = dequeues.lines().skip(1).collect();
+    assert!(!lines.is_empty(), "{dequeues}");
+    for line in lines {
+        assert!(
+            all.contains(line),
+            "filtered line not in the full listing: {line:?}"
+        );
+    }
+
+    // `diff` names the first diverging record, and its a/b lines carry that
+    // index.
+    let out = f.run(&["trace", "diff", "bfc.flight", "dcqcn.flight"]);
+    assert!(!out.status.success(), "bfc and dcqcn traces must differ");
+    let report = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let first: usize = report
+        .lines()
+        .find_map(|l| l.strip_prefix("first divergence at canonical record "))
+        .and_then(|n| n.trim_end_matches(':').parse().ok())
+        .unwrap_or_else(|| panic!("no divergence index in {report}"));
+    for side in ["  a ", "  b "] {
+        let line = report
+            .lines()
+            .find_map(|l| l.strip_prefix(side))
+            .unwrap_or_else(|| panic!("no {side:?} line in {report}"));
+        assert_eq!(index_of(line), first, "{report}");
+    }
+}

@@ -11,21 +11,24 @@
 //!
 //! # Canonical order
 //!
-//! A record is keyed by `(time, rank, seq)` exactly like the engine's
-//! scheduled events: the rank is derived from the event's *content*
-//! ([`TraceEvent::canon_rank`]), so per-shard record streams merge into one
-//! canonical order that does not depend on how the run was sharded. Two
-//! records with equal `(time, rank)` necessarily describe the same node,
-//! which exactly one shard owns — so a stable sort over the concatenated
-//! per-shard streams reproduces the serial engine's relative order
-//! ([`FlightTrace::merge`]).
+//! A record is just `(time, event)`. [`FlightTrace::merge`] orders records
+//! by `(time, canonical rank)`, the rank derived from the event's *content*
+//! ([`TraceEvent::canon_rank`]) at merge time, so per-shard record streams
+//! merge into one canonical order that does not depend on how the run was
+//! sharded. Two records with equal `(time, rank)` necessarily describe the
+//! same node, which exactly one shard owns — so a stable sort over the
+//! concatenated per-shard streams reproduces the serial engine's relative
+//! order. A record's index is its position in that order; nothing else
+//! numbers it.
 //!
 //! # Container
 //!
 //! [`write_trace`] / [`read_trace`] serialize a trace to a binary container
 //! reusing [`bfc_sim::snapshot`]'s framing (magic, version, length prefix,
 //! FNV-1a-64 checksum), with its own magic so snapshot and trace files can
-//! never be confused for one another.
+//! never be confused for one another. Format version 2 stores `(time,
+//! event)` per record, in canonical order; [`read_trace`] rejects records
+//! out of that order, and files of any other version (1 included).
 
 use std::collections::VecDeque;
 
@@ -38,7 +41,7 @@ use crate::types::NodeId;
 /// Magic bytes of the flight-recorder trace container.
 pub const TRACE_MAGIC: &[u8; 8] = b"BFCTRACE";
 /// Container format version checked by [`read_trace`].
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 
 /// Queue index used for the strict-priority control queue in trace records.
 pub const QUEUE_CONTROL: u32 = u32::MAX;
@@ -566,23 +569,26 @@ impl TraceEvent {
     }
 }
 
-/// Minimum serialized bytes per record (time + rank + seq + tag + one u32),
-/// used to validate the container's record count.
-const RECORD_MIN_BYTES: usize = 8 + 8 + 8 + 1 + 4;
+/// Minimum serialized bytes per record (time + tag + one u32), used to
+/// validate the container's record count.
+const RECORD_MIN_BYTES: usize = 8 + 1 + 4;
 
-/// One recorded observation: the engine-style `(time, rank, seq)` key plus
-/// the event. `seq` is the recorder-local emission index; after
-/// [`FlightTrace::merge`] it is the index in canonical order.
+/// One recorded observation: when it happened and what happened. Its
+/// canonical sort key is `(at, event.canon_rank())`; its index is its
+/// position in the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Simulation time of the observation.
     pub at: SimTime,
-    /// Content-derived canonical rank ([`TraceEvent::canon_rank`]).
-    pub rank: u64,
-    /// Emission index (recorder-local before merge, canonical after).
-    pub seq: u64,
     /// The observation.
     pub event: TraceEvent,
+}
+
+impl TraceRecord {
+    /// The canonical sort key: time, then [`TraceEvent::canon_rank`].
+    fn canon_key(&self) -> (SimTime, u64) {
+        (self.at, self.event.canon_rank())
+    }
 }
 
 /// A record-time trace filter: an event-kind bitmask plus an optional
@@ -656,7 +662,6 @@ impl TraceFilter {
 pub struct FlightRecorder {
     capacity: usize,
     records: VecDeque<TraceRecord>,
-    seq: u64,
     dropped: u64,
     filter: Option<TraceFilter>,
 }
@@ -668,7 +673,6 @@ impl FlightRecorder {
         FlightRecorder {
             capacity,
             records: VecDeque::with_capacity(capacity.min(64 * 1024)),
-            seq: 0,
             dropped: 0,
             filter: None,
         }
@@ -696,13 +700,7 @@ impl FlightRecorder {
             self.records.pop_front();
             self.dropped += 1;
         }
-        self.records.push_back(TraceRecord {
-            at,
-            rank: event.canon_rank(),
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
+        self.records.push_back(TraceRecord { at, event });
     }
 
     /// Records currently held.
@@ -735,26 +733,24 @@ pub struct FlightTrace {
 }
 
 impl FlightTrace {
-    /// Merges per-shard traces into canonical `(time, rank, seq-in-order)`
-    /// order — the order one fabric-wide recorder would define. Also used
-    /// with a single part to canonicalize a serial trace, so serial and
-    /// merged sharded traces of the same run compare equal (given rings
-    /// large enough that nothing was shed).
+    /// Merges per-shard traces into canonical `(time, rank)` order — the
+    /// order one fabric-wide recorder would define. Also used with a single
+    /// part to canonicalize a serial trace, so serial and merged sharded
+    /// traces of the same run compare equal (given rings large enough that
+    /// nothing was shed).
     pub fn merge(parts: Vec<FlightTrace>) -> FlightTrace {
-        let mut records: Vec<TraceRecord> = Vec::with_capacity(parts.iter().map(|p| p.records.len()).sum());
-        let mut dropped = 0;
+        let mut parts = parts.into_iter();
+        let mut merged = parts.next().unwrap_or_default();
         for part in parts {
-            dropped += part.dropped;
-            records.extend(part.records);
+            merged.dropped += part.dropped;
+            merged.records.extend(part.records);
         }
         // Stable: records with equal (time, rank) describe the same node,
         // so their relative order is the owning shard's processing order —
-        // identical to the serial engine's.
-        records.sort_by_key(|r| (r.at, r.rank));
-        for (i, r) in records.iter_mut().enumerate() {
-            r.seq = i as u64;
-        }
-        FlightTrace { records, dropped }
+        // identical to the serial engine's. The key is computed once per
+        // record, not once per comparison.
+        merged.records.sort_by_cached_key(TraceRecord::canon_key);
+        merged
     }
 
     /// Total PFC-paused time per `(node, ingress port)` derived from
@@ -813,10 +809,7 @@ impl FlightTrace {
         use std::collections::BTreeMap;
         let shared = self.records.len().min(other.records.len());
         let index = (0..shared)
-            .find(|&i| {
-                let (a, b) = (&self.records[i], &other.records[i]);
-                (a.at, a.rank, a.event) != (b.at, b.rank, b.event)
-            })
+            .find(|&i| self.records[i] != other.records[i])
             .unwrap_or(shared);
         if index == self.records.len() && index == other.records.len() {
             return None;
@@ -968,8 +961,6 @@ pub fn write_trace(label: &str, trace: &FlightTrace) -> Vec<u8> {
     w.put_usize(trace.records.len());
     for r in &trace.records {
         w.put_u64(r.at.as_picos());
-        w.put_u64(r.rank);
-        w.put_u64(r.seq);
         r.event.save(&mut w);
     }
     finalize(TRACE_MAGIC, TRACE_VERSION, &w.into_bytes())
@@ -977,25 +968,23 @@ pub fn write_trace(label: &str, trace: &FlightTrace) -> Vec<u8> {
 
 /// Opens a trace container, returning the label and the records. Rejects
 /// foreign files, version mismatches, truncation and corruption exactly
-/// like snapshot files do.
+/// like snapshot files do, and records out of canonical order — a record's
+/// position is its only sequence number, so an unordered trace would make
+/// indices and diffs meaningless.
 pub fn read_trace(bytes: &[u8]) -> Result<(String, FlightTrace), SnapError> {
     let payload = open(TRACE_MAGIC, TRACE_VERSION, bytes)?;
     let mut r = SnapReader::new(payload);
     let label = r.get_str()?.to_string();
     let dropped = r.get_u64()?;
     let n = r.get_count(RECORD_MIN_BYTES)?;
-    let mut records = Vec::with_capacity(n);
+    let mut records: Vec<TraceRecord> = Vec::with_capacity(n);
     for _ in 0..n {
         let at = SimTime::from_picos(r.get_u64()?);
-        let rank = r.get_u64()?;
-        let seq = r.get_u64()?;
-        let event = TraceEvent::restore(&mut r)?;
-        records.push(TraceRecord {
-            at,
-            rank,
-            seq,
-            event,
-        });
+        let record = TraceRecord { at, event: TraceEvent::restore(&mut r)? };
+        if records.last().is_some_and(|prev| prev.canon_key() > record.canon_key()) {
+            return Err(SnapError::Corrupt("trace records out of canonical order"));
+        }
+        records.push(record);
     }
     r.expect_end()?;
     Ok((label, FlightTrace { records, dropped }))
@@ -1118,7 +1107,16 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![7, 8, 9]);
-        assert_eq!(trace.records[0].seq, 7, "seq numbers survive shedding");
+        // Each event carries its emission index, which survives shedding
+        // as `dropped` plus the record's position.
+        for (position, &index) in kept.iter().enumerate() {
+            assert_eq!(trace.dropped + position as u64, u64::from(index));
+        }
+    }
+
+    #[test]
+    fn a_record_is_just_time_and_event() {
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 32);
     }
 
     #[test]
@@ -1172,6 +1170,14 @@ mod tests {
             bad[i] ^= 0x20;
             assert!(read_trace(&bad).is_err(), "flip at {i} accepted");
         }
+        // Well-framed records out of canonical order are rejected.
+        let mut rec = FlightRecorder::new(2);
+        rec.record(SimTime::from_nanos(9), TraceEvent::Reroute { index: 0 });
+        rec.record(SimTime::from_nanos(1), TraceEvent::Reroute { index: 1 });
+        assert!(matches!(
+            read_trace(&write_trace("x", &rec.finish())),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -1180,7 +1186,7 @@ mod tests {
         for e in sample_events() {
             rec.record(SimTime::from_nanos(1), e);
         }
-        let trace = rec.finish();
+        let trace = FlightTrace::merge(vec![rec.finish()]);
         let (_, reread) = read_trace(&write_trace("", &trace)).unwrap();
         assert_eq!(reread, trace);
         for r in &trace.records {

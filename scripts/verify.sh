@@ -2,7 +2,9 @@
 # Standing pre-commit check for this repository (see also README "Tests"):
 #   1. tier-1: release build + every crate's tests (unit tests, end-to-end,
 #      properties, trace round-trip/replay, doctest)
-#   2. the bfc-testkit harness's own unit tests
+#   2. the bfc-testkit harness's own unit tests, and perfbench's tests
+#      (perfbench is its own workspace, so tier-1 does not compile it
+#      against simulator API changes)
 #   3. a trace-tool smoke: synth -> stats -> replay on a tiny CSV trace,
 #      plus a `scenario` run (link down/up + flap fault injection)
 #   4. fuzz + safety: a fixed-seed `trace-tool fuzz` run must be
@@ -49,6 +51,9 @@ cargo test -q
 
 echo "== testkit: cargo test -q -p bfc-testkit"
 cargo test -q -p bfc-testkit
+
+echo "== perfbench: cargo test --release (separate workspace)"
+CARGO_TARGET_DIR=.bench_build cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "== trace-tool: synth -> stats -> replay round-trip"
 trace_csv="$tmpdir/trace.csv"

@@ -122,7 +122,7 @@ fn tracing_is_a_pure_observer_for_every_scheme_and_engine() {
                 "{label}: serial and sharded runs must expose the same series"
             );
             // The merged trace is engine-independent too: canonical
-            // (time, rank, seq) order makes the sharded trace equal the
+            // (time, rank) order makes the sharded trace equal the
             // serial one record-for-record.
             assert_eq!(
                 traced.flight,
@@ -175,11 +175,7 @@ fn trace_diff_localizes_scheme_divergence() {
         flight_b.records[..diff.index],
         "everything before the divergence is a common prefix"
     );
-    assert_ne!(
-        (first_a.at, first_a.rank, &first_a.event),
-        (first_b.at, first_b.rank, &first_b.event),
-        "the named records actually differ"
-    );
+    assert_ne!(first_a, first_b, "the named records actually differ");
     assert!(!diff.kinds.is_empty(), "divergent tails have kind tallies");
     assert_eq!(diff.tail_a, flight_a.records.len() - diff.index);
     assert_eq!(diff.tail_b, flight_b.records.len() - diff.index);

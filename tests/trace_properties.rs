@@ -8,7 +8,14 @@
 //! 3. The new arrival processes (bursty background gaps, log-normal incast
 //!    inter-event gaps) hit the requested offered load and are bit-identical
 //!    for a fixed seed.
+//! 4. A `.flight` container whose payload was damaged *behind* a valid
+//!    checksum never panics `read_trace`; whatever it accepts is in
+//!    canonical order and re-serializes byte-identically.
 
+use backpressure_flow_control::net::trace::{
+    read_trace, write_trace, FlightTrace, TraceEvent, TraceRecord, TRACE_MAGIC, TRACE_VERSION,
+};
+use backpressure_flow_control::sim::snapshot::{finalize, open};
 use backpressure_flow_control::sim::{SimDuration, SimTime};
 use backpressure_flow_control::workloads::io::{
     export_csv, import_csv, CsvError, CsvErrorKind, TraceStats, TRACE_CSV_HEADER,
@@ -31,7 +38,71 @@ fn shape_for(tag: u64) -> ArrivalShape {
     }
 }
 
+/// Builds one trace event of kind `tag` (`0..13`, the serialization tag)
+/// from two small field values.
+fn trace_event(tag: u64, x: u32, y: u32) -> TraceEvent {
+    let (node, pause) = (NodeId(x), y % 2 == 0);
+    match tag {
+        0 => TraceEvent::Enqueue { node, port: y, queue: x ^ y, flow: x + y, bytes: 64 * y },
+        1 => TraceEvent::Dequeue { node, port: y, queue: x ^ y, flow: x + y, bytes: 64 * y },
+        2 => TraceEvent::Drop { node, port: y, flow: x + y, bytes: 64 * y },
+        3 => TraceEvent::Blackhole { node, flow: y, bytes: 64 * x },
+        4 => TraceEvent::PfcSent { node, port: y, pause },
+        5 => TraceEvent::PfcDelivered { node, src: NodeId(y), pause },
+        6 => TraceEvent::FlowPause { node, port: y, bits: x * y, pause },
+        7 => TraceEvent::QueueActive { node, port: y, queue: x },
+        8 => TraceEvent::QueueIdle { node, port: y, queue: x },
+        9 => TraceEvent::LinkDown { a: node, b: NodeId(y) },
+        10 => TraceEvent::LinkUp { a: node, b: NodeId(y) },
+        11 => TraceEvent::LinkRate { a: node, b: NodeId(y) },
+        _ => TraceEvent::Reroute { index: x * 8 + y },
+    }
+}
+
+fn is_canonical(trace: &FlightTrace) -> bool {
+    let key = |r: &TraceRecord| (r.at, r.event.canon_rank());
+    trace.records.windows(2).all(|w| key(&w[0]) <= key(&w[1]))
+}
+
 property! {
+    /// Damage to a `.flight` payload that is re-wrapped with a fresh
+    /// checksum (so it gets past the FNV check): set a byte, flip a bit,
+    /// truncate, or append. `read_trace` must not panic, and any trace it
+    /// accepts must be canonical and re-serialize to exactly the bytes read.
+    fn damaged_flight_payloads_are_rejected_or_canonical(
+        raw in vec_of(
+            triple(int_range(0u64..13), pair(int_range(0u32..6), int_range(0u32..6)), int_range(0u64..40)),
+            0..40,
+        ),
+        dropped in int_range(0u64..1_000),
+        mutations in vec_of(triple(int_range(0u64..4), int_range(0u64..u64::MAX), int_range(0u64..256)), 1..16),
+    ) {
+        let records = raw
+            .iter()
+            .map(|&(tag, (x, y), ns)| TraceRecord { at: SimTime::from_nanos(ns), event: trace_event(tag, x, y) })
+            .collect();
+        let trace = FlightTrace::merge(vec![FlightTrace { records, dropped }]);
+        let blob = write_trace("fuzz", &trace);
+        assert_eq!(read_trace(&blob).expect("own output reads back").1, trace);
+        let payload = open(TRACE_MAGIC, TRACE_VERSION, &blob).expect("own container opens");
+
+        for &(kind, pos, value) in &mutations {
+            let mut bad = payload.to_vec();
+            let at = (pos % (bad.len() as u64 + 1)) as usize;
+            match kind {
+                0 if at < bad.len() => bad[at] = value as u8,
+                1 if at < bad.len() => bad[at] ^= 1 << (value % 8),
+                2 => bad.truncate(at),
+                _ => bad.push(value as u8),
+            }
+            let wrapped = finalize(TRACE_MAGIC, TRACE_VERSION, &bad);
+            if let Ok((label, reread)) = read_trace(&wrapped) {
+                assert!(is_canonical(&reread), "accepted an out-of-order trace");
+                assert_eq!(write_trace(&label, &reread), wrapped, "accepted trace re-writes differently");
+            }
+        }
+    }
+
     /// Synthesized traces — across seeds, loads, host counts and all three
     /// arrival shapes — survive a CSV round trip exactly.
     fn csv_round_trip_preserves_synthesized_traces(
